@@ -3,7 +3,10 @@
 Each check is a pure function returning pass/fail plus a human-readable
 detail line; :func:`run_all` executes a selection and reports results
 sorted by check key.  Every check has a wall-clock budget, and a check
-that exceeds its budget fails even if its assertions hold.
+that exceeds its budget fails even if its assertions hold.  A check that
+raises :class:`~webfoam.errors.InternalConsistencyError` becomes a
+failing result carrying the exception text, and the remaining checks
+still run.
 
 The same checks back the acceptance test module, so the CLI table and
 the test suite can never drift apart.
@@ -18,6 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import homology, linalg, operators, webs
+from .errors import InternalConsistencyError
 from .foams import eval_sphere, eval_theta
 from .laurent import LaurentPoly, ONE, P, ZERO
 
@@ -31,6 +35,8 @@ class CheckResult:
     detail: str
     seconds: float
     budget: float
+    #: The check raised InternalConsistencyError; ``detail`` holds its text.
+    internal_error: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -384,15 +390,22 @@ def run_all(
     for key in selected:
         func, budget = CHECKS[key]
         start = time.perf_counter()
-        if key == "tait-formula":
-            passed, detail = check_tait_formula(corpus=corpus)
-        elif key == "inequality-uct-suite":
-            passed, detail = check_property_suite(seed=seed)
-        else:
-            passed, detail = func()
+        internal_error = False
+        try:
+            if key == "tait-formula":
+                passed, detail = check_tait_formula(corpus=corpus)
+            elif key == "inequality-uct-suite":
+                passed, detail = check_property_suite(seed=seed)
+            else:
+                passed, detail = func()
+        except InternalConsistencyError as exc:
+            passed, detail = False, f"internal consistency failure: {exc}"
+            internal_error = True
         elapsed = time.perf_counter() - start
         if passed and elapsed > budget:
             passed = False
             detail += f"; exceeded the {budget:.0f}s budget ({elapsed:.1f}s)"
-        results.append(CheckResult(key, passed, detail, elapsed, budget))
+        results.append(
+            CheckResult(key, passed, detail, elapsed, budget, internal_error)
+        )
     return results

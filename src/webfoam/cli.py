@@ -416,6 +416,11 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
             stamp = f"  ({r.seconds:6.2f}s)" if args.timings else ""
             print(f"{status}  {r.key:<{width}}{stamp}  {r.detail}")
         print("all checks passed" if all(r.passed for r in results) else "FAILURES")
+    internal = [r for r in results if r.internal_error]
+    for r in internal:
+        print(f"{r.key}: {r.detail}", file=sys.stderr)
+    if internal:
+        return EXIT_INTERNAL
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 

@@ -92,9 +92,16 @@ class SpecializationReport:
 
 
 class DifferentialModule:
-    """Free module over the Laurent ring with a square-zero endomorphism."""
+    """Free module over the Laurent ring with a square-zero endomorphism.
 
-    __slots__ = ("rank", "differential", "two_term")
+    The differential must not be mutated after construction: the
+    module remembers the differential's rank over the fraction field.
+    The exact (Bareiss) rank is computed once, on the first
+    :meth:`frac_rank` request, and the randomized GF(2^16) cross-check
+    runs once for each distinct seed passed to :meth:`frac_rank`.
+    """
+
+    __slots__ = ("rank", "differential", "two_term", "_exact_rank", "_checked_seeds")
 
     def __init__(
         self,
@@ -112,6 +119,8 @@ class DifferentialModule:
         self.rank = rank
         self.differential = d
         self.two_term = two_term
+        self._exact_rank: int | None = None
+        self._checked_seeds: set[int] = set()
 
     @classmethod
     def from_map(cls, a: Sequence[Sequence[LaurentPoly]]) -> "DifferentialModule":
@@ -131,9 +140,18 @@ class DifferentialModule:
         """Homology rank over the fraction field: n - 2*rank(d).
 
         The differential's rank runs through both the exact and the
-        randomized route (they must agree).
+        randomized route (they must agree).  The exact rank is memoized;
+        a seed not seen before re-runs only the randomized route.
         """
-        return self.rank - 2 * linalg.fraction_rank(self.differential, seed=seed)
+        if self._exact_rank is None:
+            self._exact_rank = linalg.fraction_rank(self.differential, seed=seed)
+        elif seed not in self._checked_seeds:
+            randomized = linalg.rank_frac_randomized(
+                self.differential, random.Random(seed)
+            )
+            linalg.check_rank_agreement(self._exact_rank, randomized, seed)
+        self._checked_seeds.add(seed)
+        return self.rank - 2 * self._exact_rank
 
     def two_term_ranks(self, seed: int = 0) -> tuple[int, int]:
         """(kernel rank, cokernel rank) of the underlying map over Frac(R)."""

@@ -129,9 +129,14 @@ class LaurentPoly:
         if len(self.terms) > len(other.terms):
             self, other = other, self
         acc: set[Triple] = set()
+        add, remove = acc.add, acc.remove
         for (a1, a2, a3) in self.terms:
             for (b1, b2, b3) in other.terms:
-                acc ^= {(a1 + b1, a2 + b2, a3 + b3)}
+                t = (a1 + b1, a2 + b2, a3 + b3)
+                if t in acc:
+                    remove(t)
+                else:
+                    add(t)
         return LaurentPoly(acc)
 
     def __pow__(self, n: int) -> "LaurentPoly":
@@ -327,21 +332,31 @@ def poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
         return ZERO
-    lo_a, _ = a.exponent_range()
     lo_b, _ = b.exponent_range()
-    aa = a.shifted(-lo_a[0], -lo_a[1], -lo_a[2]).terms
+    if len(b.terms) == 1:  # a unit: division is a shift
+        return a.shifted(-lo_b[0], -lo_b[1], -lo_b[2])
+    lo_a, _ = a.exponent_range()
     bb = b.shifted(-lo_b[0], -lo_b[1], -lo_b[2]).terms
     lead_b = max(bb)
-    rem = set(aa)
-    quot: set[Triple] = set()
+    rem = set(a.shifted(-lo_a[0], -lo_a[1], -lo_a[2]).terms)
+    add, remove = rem.add, rem.remove
+    # The leading remainder term strictly decreases, so no quotient term
+    # repeats.
+    quot: list[Triple] = []
     while rem:
         lead_r = max(rem)
-        m = (lead_r[0] - lead_b[0], lead_r[1] - lead_b[1], lead_r[2] - lead_b[2])
-        if min(m) < 0:
+        m1, m2, m3 = (
+            lead_r[0] - lead_b[0], lead_r[1] - lead_b[1], lead_r[2] - lead_b[2]
+        )
+        if m1 < 0 or m2 < 0 or m3 < 0:
             raise ValueError("inexact division of Laurent polynomials")
-        quot ^= {m}
+        quot.append((m1, m2, m3))
         for (b1, b2, b3) in bb:
-            rem ^= {(b1 + m[0], b2 + m[1], b3 + m[2])}
+            t = (b1 + m1, b2 + m2, b3 + m3)
+            if t in rem:
+                remove(t)
+            else:
+                add(t)
     shift = (lo_a[0] - lo_b[0], lo_a[1] - lo_b[1], lo_a[2] - lo_b[2])
     return LaurentPoly(quot).shifted(*shift)
 

@@ -15,7 +15,20 @@ here is exact:
 
 The two rank routes are deliberately independent; :func:`fraction_rank`
 runs both and raises :class:`~webfoam.errors.InternalConsistencyError`
-if they ever disagree.
+if they ever disagree (the check is :func:`check_rank_agreement`, which
+callers that keep an exact rank and re-run only the randomized route
+share).
+
+Entry types and routes: :func:`fraction_rank` and
+:func:`rank_frac_randomized` accept LaurentPoly and RationalFunction
+entries.  LaurentPoly entries go straight to Bareiss elimination and are
+evaluated directly at each GF(2^16) point.  A row holding a
+RationalFunction is first multiplied by the product of its denominators
+for the exact route, and each RationalFunction entry is evaluated as
+numerator times the inverse of its denominator for the randomized route
+(a point where a denominator vanishes is resampled).  Every other
+function here takes LaurentPoly entries only, except
+:func:`nullspace_frac`, which works over RationalFunction internally.
 """
 
 from __future__ import annotations
@@ -47,6 +60,7 @@ __all__ = [
     "rank_frac_exact",
     "rank_frac_randomized",
     "fraction_rank",
+    "check_rank_agreement",
     "det_poly",
     "adjugate",
     "solve_unimodular",
@@ -330,23 +344,35 @@ def _gf16_pow(a: int, n: int) -> int:
     return result
 
 
-def _eval_poly_gf16(p: LaurentPoly, point: tuple[int, int, int]) -> int:
-    cache: dict[tuple[int, int], int] = {}
-
-    def var_pow(i: int, e: int) -> int:
-        key = (i, e)
-        if key not in cache:
-            cache[key] = _gf16_pow(point[i], e)
-        return cache[key]
-
+def _eval_poly_gf16(
+    p: LaurentPoly, point: tuple[int, int, int], powers: dict[tuple[int, int], int]
+) -> int:
+    """Value of ``p`` at ``point``; ``powers`` caches the point's variable powers."""
     acc = 0
-    for (e1, e2, e3) in p.terms:
+    for exps in p.terms:
         term = 1
-        for i, e in enumerate((e1, e2, e3)):
+        for i, e in enumerate(exps):
             if e:
-                term = gf16_mul(term, var_pow(i, e))
+                power = powers.get((i, e))
+                if power is None:
+                    power = powers[(i, e)] = _gf16_pow(point[i], e)
+                term = gf16_mul(term, power)
         acc ^= term
     return acc
+
+
+def _eval_entry_gf16(
+    x: LaurentPoly | RationalFunction,
+    point: tuple[int, int, int],
+    powers: dict[tuple[int, int], int],
+) -> int | None:
+    """Value of a matrix entry at ``point``, or None where its denominator vanishes."""
+    if isinstance(x, LaurentPoly):
+        return _eval_poly_gf16(x, point, powers)
+    den = _eval_poly_gf16(x.den, point, powers)
+    if den == 0:
+        return None
+    return gf16_mul(_eval_poly_gf16(x.num, point, powers), gf16_inv(den))
 
 
 def _rank_gf16(rows: list[list[int]]) -> int:
@@ -372,12 +398,6 @@ def _rank_gf16(rows: list[list[int]]) -> int:
     return rank
 
 
-def _as_rational(x: LaurentPoly | RationalFunction) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    return RationalFunction.of(x)
-
-
 def rank_frac_randomized(
     mat: Sequence[Sequence[LaurentPoly | RationalFunction]],
     rng: random.Random,
@@ -389,8 +409,7 @@ def rank_frac_randomized(
     trials is reported.  Points where some denominator vanishes are
     resampled.
     """
-    rows = [[_as_rational(x) for x in row] for row in mat]
-    if not rows or not rows[0]:
+    if not mat or not mat[0]:
         return 0
     best = 0
     for _ in range(trials):
@@ -400,28 +419,46 @@ def rank_frac_randomized(
                 rng.randrange(1, 1 << _GF_BITS),
                 rng.randrange(1, 1 << _GF_BITS),
             )
-            evaluated = []
-            ok = True
-            for row in rows:
-                erow = []
-                for x in row:
-                    den = _eval_poly_gf16(x.den, point)
-                    if den == 0:
-                        ok = False
-                        break
-                    num = _eval_poly_gf16(x.num, point)
-                    erow.append(gf16_mul(num, gf16_inv(den)))
-                if not ok:
-                    break
-                evaluated.append(erow)
-            if ok:
-                best = max(best, _rank_gf16(evaluated))
+            powers: dict[tuple[int, int], int] = {}
+            evaluated = [
+                [_eval_entry_gf16(x, point, powers) for x in row] for row in mat
+            ]
+            if all(v is not None for row in evaluated for v in row):
+                best = max(best, _rank_gf16(evaluated))  # type: ignore[arg-type]
                 break
         else:  # pragma: no cover - needs 64 unlucky samples in a row
             raise InternalConsistencyError(
                 "could not sample a point avoiding all denominators"
             )
     return best
+
+
+def check_rank_agreement(exact: int, randomized: int, seed: int) -> None:
+    """Raise InternalConsistencyError unless the two rank routes agree."""
+    if randomized > exact:
+        raise InternalConsistencyError(
+            f"randomized rank {randomized} exceeds exact rank {exact}"
+        )
+    if randomized != exact:
+        raise InternalConsistencyError(
+            f"randomized rank {randomized} disagrees with exact rank {exact} "
+            f"(seed {seed}); this should be astronomically unlikely"
+        )
+
+
+def _cleared_row(
+    row: Sequence[LaurentPoly | RationalFunction],
+) -> Sequence[LaurentPoly]:
+    """The row times the product of its denominators, as ring elements."""
+    if all(isinstance(x, LaurentPoly) for x in row):
+        return row  # type: ignore[return-value]
+    fractions = [
+        x if isinstance(x, RationalFunction) else RationalFunction.of(x) for x in row
+    ]
+    common = ONE
+    for x in fractions:
+        common = common * x.den
+    return [poly_divexact(x.num * common, x.den) for x in fractions]
 
 
 def fraction_rank(
@@ -434,24 +471,9 @@ def fraction_rank(
     must agree; disagreement raises InternalConsistencyError.  Entries
     may be LaurentPoly or RationalFunction values.
     """
-    rows = [[_as_rational(x) for x in row] for row in mat]
-    cleared: Matrix = []
-    for row in rows:
-        common = ONE
-        for x in row:
-            common = common * x.den
-        cleared.append([poly_divexact(x.num * common, x.den) for x in row])
-    exact = rank_frac_exact(cleared)
+    exact = rank_frac_exact([_cleared_row(row) for row in mat])
     randomized = rank_frac_randomized(mat, random.Random(seed))
-    if randomized > exact:
-        raise InternalConsistencyError(
-            f"randomized rank {randomized} exceeds exact rank {exact}"
-        )
-    if randomized != exact:
-        raise InternalConsistencyError(
-            f"randomized rank {randomized} disagrees with exact rank {exact} "
-            f"(seed {seed}); this should be astronomically unlikely"
-        )
+    check_rank_agreement(exact, randomized, seed)
     return exact
 
 

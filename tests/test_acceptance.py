@@ -10,6 +10,8 @@ import time
 import pytest
 
 from webfoam import acceptance
+from webfoam.cli import EXIT_INTERNAL, main
+from webfoam.errors import InternalConsistencyError
 
 CRITERIA = [
     # (number, key, budget in seconds)
@@ -43,3 +45,27 @@ def test_run_all_aggregates():
     assert all(r.passed for r in results)
     with pytest.raises(ValueError):
         acceptance.run_all(keys=["nope"])
+
+
+def test_internal_error_becomes_a_fail_row(monkeypatch, capsys):
+    def broken():
+        raise InternalConsistencyError("rank routes disagree")
+
+    monkeypatch.setitem(acceptance.CHECKS, "order4-certificate", (broken, 1.0))
+    keys = ["cone-p", "order4-certificate", "unknot-model"]
+    results = acceptance.run_all(keys=keys)
+    assert [r.key for r in results] == keys
+    assert [r.passed for r in results] == [True, False, True]
+    assert [r.internal_error for r in results] == [False, True, False]
+    assert "rank routes disagree" in results[1].detail
+
+    code = main(["verify-all", "--only", ",".join(keys)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    lines = out.splitlines()
+    assert lines[0].startswith("PASS  cone-p")
+    assert lines[1].startswith("FAIL  order4-certificate")
+    assert "internal consistency failure: rank routes disagree" in lines[1]
+    assert lines[2].startswith("PASS  unknot-model")
+    assert lines[3] == "FAILURES"
+    assert "rank routes disagree" in err

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import random_poly
-from webfoam.errors import InputError, ValidationError
+from webfoam.errors import InputError, InternalConsistencyError, ValidationError
 from webfoam.laurent import ONE, P, T1, T2, ZERO
 from webfoam import linalg
 from webfoam.homology import (
@@ -65,6 +65,55 @@ class TestRanks:
     def test_two_term_ranks_requires_two_term_form(self):
         with pytest.raises(ValueError, match="two-term"):
             zero_module(2).two_term_ranks()
+
+
+class TestRankMemo:
+    @staticmethod
+    def count_rank_calls(monkeypatch):
+        calls = {"exact": 0, "randomized": 0}
+        exact, randomized = linalg.rank_frac_exact, linalg.rank_frac_randomized
+
+        def counted_exact(*args, **kwargs):
+            calls["exact"] += 1
+            return exact(*args, **kwargs)
+
+        def counted_randomized(*args, **kwargs):
+            calls["randomized"] += 1
+            return randomized(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "rank_frac_exact", counted_exact)
+        monkeypatch.setattr(linalg, "rank_frac_randomized", counted_randomized)
+        return calls
+
+    def test_one_exact_rank_and_one_randomized_rank_per_seed(self, monkeypatch):
+        calls = self.count_rank_calls(monkeypatch)
+        module = random_complex(7, 9)
+        reports = [module.bockstein(direction) for direction in DIRECTIONS]
+        first = module.frac_rank()
+        assert module.frac_rank(seed=5) == first
+        assert calls == {"exact": 1, "randomized": 2}
+        assert all(rep.frac_rank == first for rep in reports)
+        assert first == random_complex(7, 9).frac_rank(seed=5)
+
+    def test_fresh_seed_is_still_cross_checked(self, monkeypatch):
+        module = cone_of_p()
+        assert module.frac_rank() == 0  # the differential has rank 2
+        monkeypatch.setattr(linalg, "rank_frac_randomized", lambda *a, **k: 1)
+        assert module.frac_rank() == 0  # seed 0 was already checked
+        for _ in range(2):
+            with pytest.raises(InternalConsistencyError, match="seed 3"):
+                module.frac_rank(seed=3)
+
+    def test_two_term_ranks_unchanged_by_the_memo(self):
+        for k in range(12):
+            module = DifferentialModule.from_map(random_complex(k, 4).differential[:2])
+            before = module.two_term_ranks()
+            module.frac_rank()
+            for direction in DIRECTIONS:
+                module.bockstein(direction)
+            assert module.two_term_ranks() == before
+            assert sum(before) == module.frac_rank()
+        assert linked_handcuffs_model().two_term_ranks(seed=4) == (2, 2)
 
 
 class TestBockstein:

@@ -1,6 +1,7 @@
 """Ring arithmetic, serialization, substitutions, and local orders."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -169,6 +170,78 @@ class TestDivexact:
     def test_zero_divisor_raises(self):
         with pytest.raises(ZeroDivisionError):
             poly_divexact(ONE, ZERO)
+
+
+def _low_corner(p: LaurentPoly) -> tuple[int, int, int]:
+    return p.exponent_range()[0] if p else (0, 0, 0)
+
+
+def _sympy_ring():
+    """Sparse sympy polynomials in three variables over GF(2)."""
+    sympy = pytest.importorskip("sympy")
+    ring, *_ = sympy.polys.rings.ring("x1,x2,x3", sympy.GF(2))
+    return ring
+
+
+def _to_sympy(ring, p: LaurentPoly, shift: tuple[int, int, int]):
+    """``p`` times T^-shift as a sympy polynomial; shift <= every exponent."""
+    return ring.from_dict(
+        {(e1 - shift[0], e2 - shift[1], e3 - shift[2]): 1 for (e1, e2, e3) in p.terms}
+    )
+
+
+def _random_laurent(rng, max_terms: int, spread: int) -> LaurentPoly:
+    return LaurentPoly(
+        tuple(rng.randint(-spread, spread) for _ in range(3))
+        for _ in range(rng.randint(1, max_terms))
+    )
+
+
+class TestSympyOracle:
+    """Products and exact quotients against sympy's GF(2) polynomials."""
+
+    @staticmethod
+    def operand_pairs():
+        rng = random.Random(20240)
+        pairs = [
+            (_random_laurent(rng, 12, 3), _random_laurent(rng, 12, 3))
+            for _ in range(40)
+        ]
+        # several hundred terms: 625 * 93 and 256 * 105
+        pairs.append(((P + ONE) ** 15, (P + T1) ** 7))
+        pairs.append((P**15, (P + T1) ** 11 * T2.inverse_monomial()))
+        return pairs
+
+    def test_product_matches_sympy(self):
+        ring = _sympy_ring()
+        for p, q in self.operand_pairs():
+            lp, lq = _low_corner(p), _low_corner(q)
+            both = tuple(a + b for a, b in zip(lp, lq))
+            expected = _to_sympy(ring, p, lp) * _to_sympy(ring, q, lq)
+            assert _to_sympy(ring, p * q, both) == expected
+
+    def test_exact_quotient_matches_sympy(self):
+        ring = _sympy_ring()
+        for p, q in self.operand_pairs():
+            lp, lq = _low_corner(p), _low_corner(q)
+            both = tuple(a + b for a, b in zip(lp, lq))
+            quotient = poly_divexact(p * q, q)
+            expected = _to_sympy(ring, p * q, both).exquo(_to_sympy(ring, q, lq))
+            assert _to_sympy(ring, quotient, lp) == expected
+            assert quotient == p
+
+    def test_inexact_division_agrees_with_sympy(self):
+        ring = _sympy_ring()
+        rng = random.Random(7)
+        for _ in range(40):
+            a = _random_laurent(rng, 8, 2)
+            b = _random_laurent(rng, 3, 1)
+            dividend = _to_sympy(ring, a, _low_corner(a))
+            if dividend.rem(_to_sympy(ring, b, _low_corner(b))):
+                with pytest.raises(ValueError):
+                    poly_divexact(a, b)
+            else:
+                assert poly_divexact(a, b) * b == a
 
 
 class TestRationalFunction:

@@ -10,6 +10,8 @@ from webfoam.errors import InternalConsistencyError
 from webfoam.laurent import (
     ONE,
     P,
+    RationalFunction,
+    T2,
     ZERO,
     gf2_divmod,
     gf2_gcd,
@@ -128,6 +130,33 @@ class TestRank:
             randomized = rank_frac_randomized(mat, random.Random(trial))
             assert randomized <= exact
             assert fraction_rank(mat, seed=trial) == exact
+
+    def test_rational_entries_take_the_denominator_path(self, rng):
+        # dividing row i by a nonzero d_i keeps the rank; the entries are
+        # unreduced fractions num*c / (d_i*c), and plain rows are mixed in
+        for trial in range(10):
+            rows = rng.randint(1, 4)
+            cols = rng.randint(1, 3)
+            num = [
+                [random_poly(rng, 2, 1) for _ in range(cols)] for _ in range(rows)
+            ]
+            mat = []
+            for i, row in enumerate(num):
+                if i % 2:
+                    mat.append(row)
+                    continue
+                d = P + random_poly(rng, 1, 1)  # never zero
+                c = T2 + ONE
+                mat.append([RationalFunction(x * c, d * c) for x in row])
+            exact = rank_frac_exact(num)
+            assert rank_frac_randomized(mat, random.Random(trial)) == exact
+            assert fraction_rank(mat, seed=trial) == exact
+            # ((x/e, y), (x, y*e)) is singular only through the denominator
+            x, y = P + random_poly(rng, 1, 1), T2 + random_poly(rng, 1, 1)
+            e = P + random_poly(rng, 1, 1)
+            singular = [[RationalFunction(x, e), y], [x, y * e]]
+            assert rank_frac_randomized(singular, random.Random(trial)) == 1
+            assert fraction_rank(singular, seed=trial) == 1
 
     def test_rank_is_transpose_invariant(self, rng):
         for _ in range(20):
