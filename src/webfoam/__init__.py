@@ -2,9 +2,10 @@
 
 Subpackages by topic:
 
-* :mod:`webfoam.laurent` -- the coefficient ring, its fraction field,
+* :mod:`webfoam.laurent` -- the coefficient ring, exact division,
   line substitutions and the order of vanishing at (1,1,1);
-* :mod:`webfoam.linalg` -- exact and randomized rank, Smith normal form;
+* :mod:`webfoam.linalg` -- fraction-free elimination (rank, determinant,
+  solves, null spaces), randomized rank, Smith normal form;
 * :mod:`webfoam.webs` -- cubic multigraphs, 1-sets, Tait counts;
 * :mod:`webfoam.foams` -- dotted sphere and theta-foam evaluations;
 * :mod:`webfoam.operators` -- edge-operator models and decompositions;
@@ -22,7 +23,6 @@ from .laurent import (
     LaurentPoly,
     ONE,
     P,
-    RationalFunction,
     T1,
     T2,
     T3,
@@ -79,7 +79,6 @@ __all__ = [
     "ValidationError",
     "InternalConsistencyError",
     "LaurentPoly",
-    "RationalFunction",
     "TruncatedSeries",
     "UnivariateRational",
     "ZERO",

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON file reader
+that raises them."""
+
+import json
+from pathlib import Path
 
 
 class WebfoamError(Exception):
@@ -19,3 +23,21 @@ class InternalConsistencyError(WebfoamError):
     This always indicates a bug (or a violated mathematical expectation),
     never bad user input.
     """
+
+
+def _read_json(path: Path) -> object:
+    """Decoded contents of a JSON file.
+
+    An unreadable file or invalid JSON raises :class:`InputError` naming
+    the path (and, for invalid JSON, the line and column).
+    """
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc

@@ -25,14 +25,13 @@ produces random square-zero modules for the property suites.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import InputError, InternalConsistencyError, ValidationError
+from .errors import InputError, InternalConsistencyError, ValidationError, _read_json
 from .laurent import (
     LaurentPoly,
     P,
@@ -397,14 +396,4 @@ def complex_to_dict(module: DifferentialModule) -> dict:
 
 def load_complex(path: str | Path) -> DifferentialModule:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return complex_from_dict(data, source=str(path))
+    return complex_from_dict(_read_json(path), source=str(path))

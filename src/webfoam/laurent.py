@@ -8,11 +8,9 @@ convolution with parity bookkeeping.  Values are immutable and hashable;
 two values are equal exactly when their term sets are equal.
 
 The module also provides the companion scalar domains used elsewhere in
-the package:
+the package (the fraction field of the Laurent ring is never formed:
+ranks over it come from fraction-free elimination in :mod:`webfoam.linalg`):
 
-* :class:`RationalFunction` -- the fraction field of the Laurent ring.
-  Fractions are never reduced (there is no multivariate gcd here);
-  equality is tested by cross-multiplication.
 * univariate polynomials over F2 in a variable ``t``, represented as
   Python integers with bit ``k`` holding the coefficient of ``t**k``
   (functions :func:`gf2_mul`, :func:`gf2_divmod`, ...), and
@@ -48,7 +46,6 @@ __all__ = [
     "eval_at_ones",
     "m_adic_order",
     "poly_divexact",
-    "RationalFunction",
     "TruncatedSeries",
     "UnivariateRational",
     "substitute_line",
@@ -58,11 +55,18 @@ __all__ = [
     "gf2_pow",
     "gf2_valuation",
     "T_POWER_SERIES_DEFAULT_ORDER",
+    "MAX_PARSED_EXPONENT",
 ]
 
 #: Default truncation order for symbolic line substitution: one past the
 #: first order at which the image of P can fail to be visible.
 T_POWER_SERIES_DEFAULT_ORDER = 6
+
+#: Largest exponent magnitude :meth:`LaurentPoly.parse` accepts.  Line
+#: substitution expands (1+t)^e as a dense F2[t] polynomial, at a cost that
+#: grows faster than linearly in e; at this limit one entry stays under a
+#: second.
+MAX_PARSED_EXPONENT = 4096
 
 
 class LaurentPoly:
@@ -95,7 +99,8 @@ class LaurentPoly:
         Terms are joined by ``" + "``; a term is a ``*``-joined product
         of factors ``T1^e``, ``T2^e``, ``T3^e`` (``^1`` omitted, absent
         variables omitted), the constant monomial is ``1`` and the zero
-        polynomial is ``0``.
+        polynomial is ``0``.  Exponents larger than
+        :data:`MAX_PARSED_EXPONENT` in magnitude are rejected.
 
         >>> LaurentPoly.parse("T1*T2^-1 + 1") == T1 * T2.inverse_monomial() + ONE
         True
@@ -237,6 +242,11 @@ def _parse_term(chunk: str, pos: int) -> Triple:
             raise ValueError(f"variable T{idx + 1} repeated at position {offset}")
         seen.add(idx)
         exps[idx] = int(m.group(2)) if m.group(2) is not None else 1
+        if abs(exps[idx]) > MAX_PARSED_EXPONENT:
+            raise ValueError(
+                f"exponent {exps[idx]} at position {offset} exceeds the limit "
+                f"of {MAX_PARSED_EXPONENT} in magnitude"
+            )
         offset += len(factor) + 1
     return (exps[0], exps[1], exps[2])
 
@@ -359,65 +369,6 @@ def poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                 add(t)
     shift = (lo_a[0] - lo_b[0], lo_a[1] - lo_b[1], lo_a[2] - lo_b[2])
     return LaurentPoly(quot).shifted(*shift)
-
-
-class RationalFunction:
-    """An element of the fraction field of the Laurent ring.
-
-    Fractions are kept unreduced; equality is by cross-multiplication.
-    The localization R[1/P] consists of the values whose denominator is
-    a power of ``P``.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = ONE):
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def of(p: LaurentPoly) -> "RationalFunction":
-        return RationalFunction(p, ONE)
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):  # pragma: no cover - unhashable by design
-        raise TypeError("RationalFunction is not hashable (unreduced form)")
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __str__(self) -> str:
-        if self.den == ONE:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({str(self)!r})"
 
 
 # ---------------------------------------------------------------------------

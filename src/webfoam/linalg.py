@@ -1,15 +1,16 @@
-"""Exact linear algebra over the Laurent ring and its fraction field.
+"""Exact linear algebra over the Laurent ring.
 
-Matrices are lists of rows; entries are :class:`~webfoam.laurent.LaurentPoly`
-(or :class:`~webfoam.laurent.RationalFunction` where stated).  Everything
-here is exact:
+Matrices are lists of rows of :class:`~webfoam.laurent.LaurentPoly`
+entries.  Everything here is exact:
 
-* rank over Frac(R) by fraction-free Bareiss elimination, with entries
-  kept polynomial (each row is first scaled by a monomial unit);
+* one fraction-free (Bareiss) elimination kernel, which stays in the
+  ring R: each row is first scaled by a monomial unit so its entries are
+  polynomials, and every division by the previous pivot is exact.  Rank
+  over Frac(R), determinants, unimodular solves and fraction-field null
+  spaces are all read off its output;
 * a cross-checking randomized rank that evaluates the matrix at random
   points of GF(2^16) and eliminates over that field (Schwartz-Zippel);
-* determinants, adjugates and fraction-field null spaces for the small
-  operator matrices used elsewhere;
+* adjugates by cofactors, kept as an oracle independent of the kernel;
 * Smith normal form over the Euclidean domain F2[t] for torsion
   analysis of specialized differentials.
 
@@ -18,17 +19,6 @@ runs both and raises :class:`~webfoam.errors.InternalConsistencyError`
 if they ever disagree (the check is :func:`check_rank_agreement`, which
 callers that keep an exact rank and re-run only the randomized route
 share).
-
-Entry types and routes: :func:`fraction_rank` and
-:func:`rank_frac_randomized` accept LaurentPoly and RationalFunction
-entries.  LaurentPoly entries go straight to Bareiss elimination and are
-evaluated directly at each GF(2^16) point.  A row holding a
-RationalFunction is first multiplied by the product of its denominators
-for the exact route, and each RationalFunction entry is evaluated as
-numerator times the inverse of its denominator for the randomized route
-(a point where a denominator vanishes is resampled).  Every other
-function here takes LaurentPoly entries only, except
-:func:`nullspace_frac`, which works over RationalFunction internally.
 """
 
 from __future__ import annotations
@@ -40,7 +30,6 @@ from .errors import InternalConsistencyError
 from .laurent import (
     LaurentPoly,
     ONE,
-    RationalFunction,
     ZERO,
     gf2_divmod,
     gf2_mul,
@@ -123,65 +112,66 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(not x for row in a for x in row)
 
 
-def _clear_rows_to_polynomials(mat: Matrix) -> tuple[Matrix, list[tuple[int, int, int]]]:
-    """Scale each row by a monomial so all entries have nonnegative exponents.
+def _bareiss(
+    mat: Sequence[Sequence[LaurentPoly]], reduce_above: bool
+) -> tuple[Matrix, list[int], LaurentPoly, tuple[int, int, int]]:
+    """Fraction-free (Bareiss) elimination, the one kernel behind this module.
 
-    Returns the scaled matrix together with the per-row shifts applied
-    (each row was multiplied by T^{-shift}).  Unit row scalings preserve
-    rank; the determinant picks up the product of the units.
+    Each row is first multiplied by the monomial T^-shift that makes all
+    its exponents nonnegative.  The pivot is the first nonzero entry, in
+    column order, of the first remaining row with a nonzero entry in a
+    non-pivot column; only non-pivot columns are updated, and in
+    characteristic 2 the Bareiss cross term is an addition.  Every
+    division by the previous pivot is exact.
+
+    With ``reduce_above`` the rows above each pivot are eliminated too
+    (fraction-free Gauss-Jordan), so every pivot entry ends equal to the
+    last pivot.  Returns the reduced rows, the pivot columns (pivot i
+    sits in row i), the last pivot (ONE when there is none) and the sum
+    of the row shifts: the row scalings multiplied the determinant of a
+    square matrix by T^-total.
     """
-    out = []
-    shifts = []
+    m: Matrix = []
+    total = [0, 0, 0]
     for row in mat:
-        nonzero = [x for x in row if x]
-        if not nonzero:
-            out.append(list(row))
-            shifts.append((0, 0, 0))
-            continue
-        lo = tuple(
-            min(x.exponent_range()[0][i] for x in nonzero) for i in range(3)
+        lows = [x.exponent_range()[0] for x in row if x]
+        lo = [min(e[i] for e in lows) if lows else 0 for i in range(3)]
+        m.append([x.shifted(-lo[0], -lo[1], -lo[2]) for x in row])
+        total = [t + e for t, e in zip(total, lo)]
+    rows = len(m)
+    free = list(range(len(m[0]) if m else 0))
+    pivot_cols: list[int] = []
+    prev_pivot = ONE
+    for r in range(rows):
+        found = next(
+            ((i, j) for i in range(r, rows) for j in free if m[i][j]), None
         )
-        out.append([x.shifted(-lo[0], -lo[1], -lo[2]) for x in row])
-        shifts.append(lo)  # type: ignore[arg-type]
-    return out, shifts
+        if found is None:
+            break
+        pr, pc = found
+        m[r], m[pr] = m[pr], m[r]
+        pivot_row = m[r]
+        pivot = pivot_row[pc]
+        free.remove(pc)
+        for i in range(rows) if reduce_above else range(r + 1, rows):
+            if i == r:
+                continue
+            row = m[i]
+            factor = row[pc]
+            for j in free:
+                num = row[j] * pivot + factor * pivot_row[j]
+                row[j] = poly_divexact(num, prev_pivot)
+            row[pc] = ZERO
+            if i < r:
+                row[pivot_cols[i]] = pivot
+        pivot_cols.append(pc)
+        prev_pivot = pivot
+    return m, pivot_cols, prev_pivot, (total[0], total[1], total[2])
 
 
 def rank_frac_exact(mat: Sequence[Sequence[LaurentPoly]]) -> int:
     """Rank over Frac(R) by fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in mat]
-    if not m or not m[0]:
-        return 0
-    m, _ = _clear_rows_to_polynomials(m)
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    prev_pivot = ONE
-    r = 0
-    while r < rows and rank < cols:
-        # full pivot search in the remaining submatrix
-        pr = pc = -1
-        for i in range(r, rows):
-            for j in range(rank, cols):
-                if m[i][j]:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            break
-        m[r], m[pr] = m[pr], m[r]
-        for row in m:
-            row[rank], row[pc] = row[pc], row[rank]
-        pivot = m[r][rank]
-        for i in range(r + 1, rows):
-            for j in range(rank + 1, cols):
-                # char 2: the Bareiss cross term is an addition
-                num = m[i][j] * pivot + m[i][rank] * m[r][j]
-                m[i][j] = poly_divexact(num, prev_pivot)
-            m[i][rank] = ZERO
-        prev_pivot = pivot
-        rank += 1
-        r += 1
-    return rank
+    return len(_bareiss(mat, reduce_above=False)[1])
 
 
 def det_poly(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
@@ -189,39 +179,12 @@ def det_poly(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return ONE
-    m = [list(row) for row in mat]
-    m, shifts = _clear_rows_to_polynomials(m)
-    total_shift = tuple(sum(s[i] for s in shifts) for i in range(3))
-    prev_pivot = ONE
-    for k in range(n):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                cswap = next(
-                    (j for j in range(k + 1, n) if any(m[i][j] for i in range(k, n))),
-                    None,
-                )
-                if cswap is None:
-                    return ZERO
-                for row in m:
-                    row[k], row[cswap] = row[cswap], row[k]
-                if not m[k][k]:
-                    swap = next(i for i in range(k + 1, n) if m[i][k])
-                    m[k], m[swap] = m[swap], m[k]
-            else:
-                m[k], m[swap] = m[swap], m[k]
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * pivot + m[i][k] * m[k][j]
-                m[i][j] = poly_divexact(num, prev_pivot)
-            m[i][k] = ZERO
-        prev_pivot = pivot
-    # Bareiss leaves det of the scaled matrix in the last pivot; undo the
-    # monomial row scalings (swaps are signless in characteristic 2).
-    return m[n - 1][n - 1].shifted(*total_shift)
+    _, pivot_cols, last, total = _bareiss(mat, reduce_above=False)
+    if len(pivot_cols) < n:
+        return ZERO
+    # Bareiss leaves det of the row-scaled matrix in the last pivot; undo
+    # the monomial row scalings (swaps are signless in characteristic 2).
+    return last.shifted(*total)
 
 
 def _minor(mat: Sequence[Sequence[LaurentPoly]], drop_row: int, drop_col: int) -> Matrix:
@@ -241,59 +204,49 @@ def adjugate(mat: Sequence[Sequence[LaurentPoly]]) -> Matrix:
 def solve_unimodular(mat: Matrix, rhs: Matrix) -> Matrix:
     """Solve M X = B over the Laurent ring for M with det(M) = 1.
 
-    Raises :class:`InternalConsistencyError` when det(M) is not 1, since
-    the callers rely on unimodularity for the solution to stay in the ring.
+    Reduces ``[M | B]`` by fraction-free Gauss-Jordan elimination; the
+    M block ends as the last pivot d = det(M) times a permutation, so
+    row i of the B block is d times row ``pivot_cols[i]`` of X.  Raises
+    :class:`InternalConsistencyError` when det(M) is not 1, since the
+    callers rely on unimodularity for the solution to stay in the ring.
     """
-    d = det_poly(mat)
+    n = len(mat)
+    if len(rhs) != n or any(len(row) != n for row in mat):
+        raise ValueError("solve needs a square matrix and a right side of as many rows")
+    reduced, pivot_cols, last, total = _bareiss(
+        [list(row) + list(extra) for row, extra in zip(mat, rhs)], reduce_above=True
+    )
+    covers = sorted(pivot_cols) == list(range(n))
+    d = last.shifted(*total) if covers else ZERO
     if d != ONE:
-        raise InternalConsistencyError(
-            f"matrix is not unimodular: det = {d}"
-        )
-    return mat_mul(adjugate(mat), rhs)
+        raise InternalConsistencyError(f"matrix is not unimodular: det = {d}")
+    # d == 1 makes the last pivot the unit T^-total: dividing is a shift.
+    solution: Matrix = [[] for _ in range(n)]
+    for row, pc in zip(reduced, pivot_cols):
+        solution[pc] = [x.shifted(*total) for x in row[n:]]
+    return solution
 
 
 def nullspace_frac(mat: Sequence[Sequence[LaurentPoly]]) -> list[list[LaurentPoly]]:
-    """Basis of the right null space over Frac(R), denominators cleared.
+    """Basis of the right null space over Frac(R), with ring entries.
 
-    Each returned vector has LaurentPoly entries (scaled by a common
-    nonzero factor, which is irrelevant for span computations).
+    After fraction-free Gauss-Jordan elimination every pivot entry equals
+    the last pivot d, so free column f gives the kernel vector with d at
+    f, row i's entry in column f at ``pivot_cols[i]`` (characteristic 2:
+    no sign) and zero elsewhere.  Its entries are minors of the matrix
+    after each row is scaled by a monomial.
     """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if cols == 0:
-        return []
-    work = [[RationalFunction.of(x) for x in row] for row in mat]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if work[i][c]), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv_pivot = RationalFunction(work[r][c].den, work[r][c].num)
-        work[r] = [x * inv_pivot for x in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c]:
-                factor = work[i][c]
-                work[i] = [
-                    x + factor * y for x, y in zip(work[i], work[r])
-                ]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
+    cols = len(mat[0]) if mat else 0
+    reduced, pivot_cols, last, _ = _bareiss(mat, reduce_above=True)
     basis = []
-    for f in free_cols:
-        vec = [RationalFunction.of(ZERO)] * cols
-        vec[f] = RationalFunction.of(ONE)
-        for row_idx, pc in enumerate(pivot_cols):
-            vec[pc] = work[row_idx][f]  # char 2: no sign to flip
-        common = ONE
-        for x in vec:
-            common = common * x.den
-        cleared = [poly_divexact(x.num * common, x.den) for x in vec]
-        basis.append(cleared)
+    for f in range(cols):
+        if f in pivot_cols:
+            continue
+        vec = [ZERO] * cols
+        vec[f] = last
+        for row, pc in zip(reduced, pivot_cols):
+            vec[pc] = row[f]
+        basis.append(vec)
     return basis
 
 
@@ -350,29 +303,16 @@ def _eval_poly_gf16(
     """Value of ``p`` at ``point``; ``powers`` caches the point's variable powers."""
     acc = 0
     for exps in p.terms:
-        term = 1
+        # powers of a nonzero point are nonzero, so 0 marks "no factor yet"
+        term = 0
         for i, e in enumerate(exps):
             if e:
                 power = powers.get((i, e))
                 if power is None:
                     power = powers[(i, e)] = _gf16_pow(point[i], e)
-                term = gf16_mul(term, power)
-        acc ^= term
+                term = gf16_mul(term, power) if term else power
+        acc ^= term or 1
     return acc
-
-
-def _eval_entry_gf16(
-    x: LaurentPoly | RationalFunction,
-    point: tuple[int, int, int],
-    powers: dict[tuple[int, int], int],
-) -> int | None:
-    """Value of a matrix entry at ``point``, or None where its denominator vanishes."""
-    if isinstance(x, LaurentPoly):
-        return _eval_poly_gf16(x, point, powers)
-    den = _eval_poly_gf16(x.den, point, powers)
-    if den == 0:
-        return None
-    return gf16_mul(_eval_poly_gf16(x.num, point, powers), gf16_inv(den))
 
 
 def _rank_gf16(rows: list[list[int]]) -> int:
@@ -399,37 +339,27 @@ def _rank_gf16(rows: list[list[int]]) -> int:
 
 
 def rank_frac_randomized(
-    mat: Sequence[Sequence[LaurentPoly | RationalFunction]],
+    mat: Sequence[Sequence[LaurentPoly]],
     rng: random.Random,
     trials: int = RANDOM_RANK_TRIALS,
 ) -> int:
     """Rank by evaluation at random nonzero points of GF(2^16).
 
     Evaluation can only lower the rank, so the maximum over independent
-    trials is reported.  Points where some denominator vanishes are
-    resampled.
+    trials is reported.
     """
     if not mat or not mat[0]:
         return 0
     best = 0
     for _ in range(trials):
-        for _attempt in range(64):
-            point = (
-                rng.randrange(1, 1 << _GF_BITS),
-                rng.randrange(1, 1 << _GF_BITS),
-                rng.randrange(1, 1 << _GF_BITS),
-            )
-            powers: dict[tuple[int, int], int] = {}
-            evaluated = [
-                [_eval_entry_gf16(x, point, powers) for x in row] for row in mat
-            ]
-            if all(v is not None for row in evaluated for v in row):
-                best = max(best, _rank_gf16(evaluated))  # type: ignore[arg-type]
-                break
-        else:  # pragma: no cover - needs 64 unlucky samples in a row
-            raise InternalConsistencyError(
-                "could not sample a point avoiding all denominators"
-            )
+        point = (
+            rng.randrange(1, 1 << _GF_BITS),
+            rng.randrange(1, 1 << _GF_BITS),
+            rng.randrange(1, 1 << _GF_BITS),
+        )
+        powers: dict[tuple[int, int], int] = {}
+        evaluated = [[_eval_poly_gf16(x, point, powers) for x in row] for row in mat]
+        best = max(best, _rank_gf16(evaluated))
     return best
 
 
@@ -446,32 +376,13 @@ def check_rank_agreement(exact: int, randomized: int, seed: int) -> None:
         )
 
 
-def _cleared_row(
-    row: Sequence[LaurentPoly | RationalFunction],
-) -> Sequence[LaurentPoly]:
-    """The row times the product of its denominators, as ring elements."""
-    if all(isinstance(x, LaurentPoly) for x in row):
-        return row  # type: ignore[return-value]
-    fractions = [
-        x if isinstance(x, RationalFunction) else RationalFunction.of(x) for x in row
-    ]
-    common = ONE
-    for x in fractions:
-        common = common * x.den
-    return [poly_divexact(x.num * common, x.den) for x in fractions]
-
-
-def fraction_rank(
-    mat: Sequence[Sequence[LaurentPoly | RationalFunction]],
-    seed: int = 0,
-) -> int:
+def fraction_rank(mat: Sequence[Sequence[LaurentPoly]], seed: int = 0) -> int:
     """Rank over the fraction field, computed two independent ways.
 
     Exact fraction-free elimination and randomized GF(2^16) evaluation
-    must agree; disagreement raises InternalConsistencyError.  Entries
-    may be LaurentPoly or RationalFunction values.
+    must agree; disagreement raises InternalConsistencyError.
     """
-    exact = rank_frac_exact([_cleared_row(row) for row in mat])
+    exact = rank_frac_exact(mat)
     randomized = rank_frac_randomized(mat, random.Random(seed))
     check_rank_agreement(exact, randomized, seed)
     return exact

@@ -27,7 +27,7 @@ from typing import Iterable
 
 from .errors import InternalConsistencyError
 from .foams import THETA_BASIS_DOTS, eval_theta, pairing_matrix
-from .laurent import LaurentPoly, ONE, P, RationalFunction, ZERO
+from .laurent import LaurentPoly, ONE, P, ZERO
 from . import linalg
 from .linalg import Matrix
 
@@ -64,10 +64,7 @@ class OperatorModule:
         """Cubic relation and pairwise commutation, as exact identities."""
         named = sorted(self.operators.items())
         for name, u in named:
-            u2 = linalg.mat_mul(u, u)
-            u3 = linalg.mat_mul(u2, u)
-            cubic = linalg.mat_add(u3, linalg.mat_scale(P, u))
-            if not linalg.is_zero_matrix(cubic):
+            if not _cubic_relation_holds(u):
                 raise InternalConsistencyError(
                     f"operator {name!r} violates u^3 + P*u = 0"
                 )
@@ -134,21 +131,18 @@ def theta_module() -> OperatorModule:
 
 
 def _check_theta_relations(module: OperatorModule) -> None:
-    u1, u2, u3 = (module.operator(f"e{i}") for i in (1, 2, 3))
-    if not linalg.is_zero_matrix(linalg.mat_add(linalg.mat_add(u1, u2), u3)):
-        raise InternalConsistencyError("theta operators violate u1 + u2 + u3 = 0")
-    w2 = linalg.mat_add(
-        linalg.mat_add(linalg.mat_mul(u2, u3), linalg.mat_mul(u3, u1)),
-        linalg.mat_mul(u1, u2),
+    report = check_vertex_relations(module, ("e1", "e2", "e3"))
+    for name, ok in report.entries:
+        if not ok:
+            raise InternalConsistencyError(f"theta operators violate {name}")
+
+
+def _cubic_relation_holds(u: Matrix) -> bool:
+    """The cubic relation u^3 + P*u = 0, as an exact identity."""
+    cubic = linalg.mat_add(
+        linalg.mat_mul(linalg.mat_mul(u, u), u), linalg.mat_scale(P, u)
     )
-    if w2 != linalg.mat_scale(P, linalg.identity(6)):
-        raise InternalConsistencyError(
-            "theta operators violate u2*u3 + u3*u1 + u1*u2 = P"
-        )
-    if not linalg.is_zero_matrix(
-        linalg.mat_mul(linalg.mat_mul(u1, u2), u3)
-    ):
-        raise InternalConsistencyError("theta operators violate u1*u2*u3 = 0")
+    return linalg.is_zero_matrix(cubic)
 
 
 @dataclass(frozen=True)
@@ -199,10 +193,7 @@ def check_vertex_relations(
     triple = linalg.mat_mul(linalg.mat_mul(u1, u2), u3)
     checks.append(("u1*u2*u3 = 0", linalg.is_zero_matrix(triple)))
     for name, u in zip(incident, (u1, u2, u3)):
-        cubic = linalg.mat_add(
-            linalg.mat_mul(linalg.mat_mul(u, u), u), linalg.mat_scale(P, u)
-        )
-        checks.append((f"{name}^3 + P*{name} = 0", linalg.is_zero_matrix(cubic)))
+        checks.append((f"{name}^3 + P*{name} = 0", _cubic_relation_holds(u)))
     return VertexRelationReport(tuple(checks))
 
 
@@ -287,44 +278,22 @@ def edge_decomposition(
 def _check_projections(
     module: OperatorModule, vertex_edges: tuple[str, str, str]
 ) -> tuple[tuple[str, bool], ...]:
-    inv_p = RationalFunction(ONE, P)
+    """The projection identities, checked in the ring.
+
+    With Q_i = u_j*u_k the projection is pi_i = Q_i / P, so pi_i is
+    idempotent iff Q_i^2 = P*Q_i, the pi_i are orthogonal iff the Q_i
+    products vanish, and they sum to 1 iff the Q_i sum to P*I.
+    """
     ops = [module.operator(e) for e in vertex_edges]
-    pis = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        prod = linalg.mat_mul(ops[j], ops[k])
-        pis.append([[RationalFunction(x) * inv_p for x in row] for row in prod])
-
-    def rf_mat_mul(a, b):
-        n = len(a)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = RationalFunction(ZERO)
-                for k in range(n):
-                    acc = acc + a[i][k] * b[k][j]
-                row.append(acc)
-            out.append(row)
-        return out
-
-    def rf_mat_eq(a, b) -> bool:
-        return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
+    qs = [linalg.mat_mul(ops[(i + 1) % 3], ops[(i + 2) % 3]) for i in range(3)]
     checks = []
-    for i, pi in enumerate(pis):
-        checks.append((f"pi{i + 1}^2 = pi{i + 1}", rf_mat_eq(rf_mat_mul(pi, pi), pi)))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            product = rf_mat_mul(pis[i], pis[j])
-            ok = all(not x for row in product for x in row)
-            checks.append((f"pi{i + 1}*pi{j + 1} = 0", ok))
-    ident = [
-        [RationalFunction(ONE if i == j else ZERO) for j in range(module.rank)]
-        for i in range(module.rank)
-    ]
-    total = pis[0]
-    for pi in pis[1:]:
-        total = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(total, pi)]
-    checks.append(("pi1 + pi2 + pi3 = 1", rf_mat_eq(total, ident)))
+    for i, q in enumerate(qs):
+        ok = linalg.mat_mul(q, q) == linalg.mat_scale(P, q)
+        checks.append((f"pi{i + 1}^2 = pi{i + 1}", ok))
+    for i, j in itertools.combinations(range(3), 2):
+        ok = linalg.is_zero_matrix(linalg.mat_mul(qs[i], qs[j]))
+        checks.append((f"pi{i + 1}*pi{j + 1} = 0", ok))
+    total = linalg.mat_add(linalg.mat_add(qs[0], qs[1]), qs[2])
+    ok = total == linalg.mat_scale(P, linalg.identity(module.rank))
+    checks.append(("pi1 + pi2 + pi3 = 1", ok))
     return tuple(checks)

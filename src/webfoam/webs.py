@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, _read_json
 
 __all__ = [
     "Edge",
@@ -525,17 +524,7 @@ def web_to_dict(web: Web) -> dict:
 
 def load_web(path: str | Path) -> Web:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return web_from_dict(data, source=str(path))
+    return web_from_dict(_read_json(path), source=str(path))
 
 
 def corpus_dir() -> Path:

@@ -1,12 +1,19 @@
 """Command-line surface: outputs, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import webfoam
 from webfoam.cli import main
 from webfoam.homology import cone_of_p, complex_to_dict
 from webfoam.webs import corpus_web, web_to_dict
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -121,6 +128,26 @@ class TestOps:
         assert data["summand_ranks"]["{}"] == 0
         assert all(data["projections"].values())
 
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (
+                ("ops", "theta", "--show", "--check", "--decompose", "--json"),
+                "ops_theta_show_check_decompose.json",
+            ),
+            (
+                ("ops", "unknot", "--show", "--check", "--decompose"),
+                "ops_unknot_show_check_decompose.txt",
+            ),
+        ],
+    )
+    def test_full_report_is_pinned(self, capsys, argv, golden):
+        # the operator solves, null spaces and projection identities all
+        # reach this output, which no other test pins byte for byte
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (DATA / golden).read_text()
+
 
 class TestComplex:
     def test_analyze_file(self, capsys, tmp_path):
@@ -161,6 +188,25 @@ class TestComplex:
         code, _, err = run(capsys, "complex", "analyze", str(path))
         assert code == 4
         assert "square to zero" in err
+
+    def test_huge_exponent_is_rejected_quickly(self, tmp_path):
+        # line substitution of T1^(2^30 - 1) would run for minutes, so the
+        # parser rejects the entry; the time limit catches a regression
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"rank":2,"differential":[["0","T1^1073741823"],["0","0"]]}'
+        )
+        src = str(Path(webfoam.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "webfoam.cli", "complex", "analyze", str(path),
+             "--direction", "1,1,1"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "differential[0][1]" in proc.stderr
+        assert "limit of 4096" in proc.stderr
 
 
 class TestVerifyAll:

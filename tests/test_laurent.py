@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 
 from webfoam.laurent import (
     LaurentPoly,
+    MAX_PARSED_EXPONENT,
     ONE,
     P,
-    RationalFunction,
     T1,
     T2,
     T3,
@@ -129,6 +129,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="duplicate term"):
             LaurentPoly.parse("T1 + T1")
 
+    def test_exponent_magnitude_is_bounded(self):
+        assert LaurentPoly.parse("T1^4096*T3^-4096") == LaurentPoly.monomial(
+            MAX_PARSED_EXPONENT, 0, -MAX_PARSED_EXPONENT
+        )
+        with pytest.raises(ValueError, match="at position 4 exceeds the limit of 4096"):
+            LaurentPoly.parse("1 + T2^4097")
+        with pytest.raises(ValueError, match="exponent -1073741823"):
+            LaurentPoly.parse("T1*T3^-1073741823")
+
 
 class TestEvalAtOnes:
     def test_examples(self):
@@ -242,24 +251,6 @@ class TestSympyOracle:
                     poly_divexact(a, b)
             else:
                 assert poly_divexact(a, b) * b == a
-
-
-class TestRationalFunction:
-    def test_cross_multiplication_equality(self):
-        half_p = RationalFunction(P * T1, T1)
-        assert half_p == RationalFunction(P)
-        assert RationalFunction(T1, T2) != RationalFunction(T2, T1)
-
-    def test_field_identities(self):
-        x = RationalFunction(T1 + T2, P)
-        one = RationalFunction(ONE)
-        assert x / x == one
-        assert x + x == RationalFunction(ZERO, P)
-        assert (x * RationalFunction(P)) == RationalFunction(T1 + T2)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalFunction(ONE, ZERO)
 
 
 class TestUnivariate:

@@ -10,8 +10,7 @@ from webfoam.errors import InternalConsistencyError
 from webfoam.laurent import (
     ONE,
     P,
-    RationalFunction,
-    T2,
+    T1,
     ZERO,
     gf2_divmod,
     gf2_gcd,
@@ -102,6 +101,31 @@ class TestDeterminant:
         with pytest.raises(InternalConsistencyError):
             linalg.solve_unimodular(singular, identity(2))
 
+    def test_solve_unimodular_rejects_a_non_unit_determinant(self):
+        with pytest.raises(InternalConsistencyError, match="det = T1"):
+            linalg.solve_unimodular([[T1, ZERO], [ZERO, ONE]], identity(2))
+        with pytest.raises(ValueError, match="square"):
+            linalg.solve_unimodular([[ONE, ZERO]], [[ONE]])
+        with pytest.raises(ValueError, match="square"):
+            linalg.solve_unimodular(identity(2), [[ONE]])
+
+    def test_solve_unimodular_matches_the_adjugate(self, rng):
+        # products of elementary matrices I + c*E_ij have determinant 1,
+        # so the solution is adj(M) * B, with adj computed by cofactors
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            mat = identity(n)
+            for _ in range(rng.randint(0, 6) if n > 1 else 0):
+                i, j = rng.sample(range(n), 2)
+                c = random_poly(rng, 2, 1)
+                mat[i] = [x + c * y for x, y in zip(mat[i], mat[j])]
+            k = rng.randint(1, 3)
+            rhs = [[random_poly(rng, 2, 1) for _ in range(k)] for _ in range(n)]
+            assert det_poly(mat) == ONE
+            solution = linalg.solve_unimodular(mat, rhs)
+            assert solution == mat_mul(adjugate(mat), rhs)
+            assert mat_mul(mat, solution) == rhs
+
 
 class TestRank:
     def test_trivial_cases(self):
@@ -131,37 +155,28 @@ class TestRank:
             assert randomized <= exact
             assert fraction_rank(mat, seed=trial) == exact
 
-    def test_rational_entries_take_the_denominator_path(self, rng):
-        # dividing row i by a nonzero d_i keeps the rank; the entries are
-        # unreduced fractions num*c / (d_i*c), and plain rows are mixed in
-        for trial in range(10):
-            rows = rng.randint(1, 4)
-            cols = rng.randint(1, 3)
-            num = [
-                [random_poly(rng, 2, 1) for _ in range(cols)] for _ in range(rows)
-            ]
-            mat = []
-            for i, row in enumerate(num):
-                if i % 2:
-                    mat.append(row)
-                    continue
-                d = P + random_poly(rng, 1, 1)  # never zero
-                c = T2 + ONE
-                mat.append([RationalFunction(x * c, d * c) for x in row])
-            exact = rank_frac_exact(num)
-            assert rank_frac_randomized(mat, random.Random(trial)) == exact
-            assert fraction_rank(mat, seed=trial) == exact
-            # ((x/e, y), (x, y*e)) is singular only through the denominator
-            x, y = P + random_poly(rng, 1, 1), T2 + random_poly(rng, 1, 1)
-            e = P + random_poly(rng, 1, 1)
-            singular = [[RationalFunction(x, e), y], [x, y * e]]
-            assert rank_frac_randomized(singular, random.Random(trial)) == 1
-            assert fraction_rank(singular, seed=trial) == 1
-
     def test_rank_is_transpose_invariant(self, rng):
         for _ in range(20):
             mat = [[random_poly(rng, 2, 1) for _ in range(4)] for _ in range(3)]
             assert rank_frac_exact(mat) == rank_frac_exact(linalg.transpose(mat))
+
+
+class TestBareissKernel:
+    def test_gauss_jordan_form(self, rng):
+        # with reduce_above, pivot i sits in row i and equals the last
+        # pivot, every other pivot column is zero in that row, and the
+        # rows past the rank vanish; the plain form has the same pivots
+        for _ in range(30):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            mat = [[random_poly(rng, 2, 1) for _ in range(cols)] for _ in range(rows)]
+            reduced, pivots, last, _ = linalg._bareiss(mat, reduce_above=True)
+            assert linalg._bareiss(mat, reduce_above=False)[1] == pivots
+            assert len(pivots) == rank_frac_randomized(mat, random.Random(0))
+            for i, row in enumerate(reduced):
+                for k, pc in enumerate(pivots):
+                    assert row[pc] == (last if k == i else ZERO)
+                if i >= len(pivots):
+                    assert not any(row)
 
 
 class TestNullspace:

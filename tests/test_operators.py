@@ -7,6 +7,7 @@ from webfoam.laurent import ONE, P, ZERO
 from webfoam import linalg
 from webfoam.operators import (
     OperatorModule,
+    _check_projections,
     check_vertex_relations,
     edge_decomposition,
     theta_module,
@@ -137,20 +138,38 @@ class TestGuards:
                 rank=3, basis_labels=(0, 1, 2), operators={"a": a, "b": b}
             )
 
-    def test_corrupted_module_fails_some_relation(self):
+    @staticmethod
+    def corrupted_theta() -> OperatorModule:
         corrupt = {
             name: [row[:] for row in mat]
             for name, mat in theta_module().operators.items()
         }
         corrupt["e2"][0][0] = corrupt["e2"][0][0] + ONE
-        module = OperatorModule(
+        return OperatorModule(
             rank=6,
             basis_labels=theta_module().basis_labels,
             operators=corrupt,
             validate=False,
         )
-        report = check_vertex_relations(module, ("e1", "e2", "e3"))
+
+    def test_corrupted_module_fails_some_relation(self):
+        report = check_vertex_relations(self.corrupted_theta(), ("e1", "e2", "e3"))
         assert not report.all_pass
+
+    def test_projection_identities_catch_a_corrupted_module(self):
+        edges = ("e1", "e2", "e3")
+        labels = [
+            "pi1^2 = pi1", "pi2^2 = pi2", "pi3^2 = pi3",
+            "pi1*pi2 = 0", "pi1*pi3 = 0", "pi2*pi3 = 0", "pi1 + pi2 + pi3 = 1",
+        ]
+        good = _check_projections(theta_module(), edges)
+        assert good == tuple((label, True) for label in labels)
+        bad = dict(_check_projections(self.corrupted_theta(), edges))
+        assert list(bad) == labels
+        # e2 enters Q1 = u2*u3 and Q3 = u1*u2, so those identities break
+        assert not bad["pi3^2 = pi3"]
+        assert not bad["pi2*pi3 = 0"]
+        assert not bad["pi1 + pi2 + pi3 = 1"]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="3x3"):
