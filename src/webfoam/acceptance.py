@@ -1,12 +1,12 @@
 """The full verification suite behind ``webfoam verify-all``.
 
-Each check is a pure function returning pass/fail plus a human-readable
-detail line; :func:`run_all` executes a selection and reports results
-sorted by check key.  Every check has a wall-clock budget, and a check
-that exceeds its budget fails even if its assertions hold.  A check that
-raises :class:`~webfoam.errors.InternalConsistencyError` becomes a
-failing result carrying the exception text, and the remaining checks
-still run.
+Each check is a pure function of a :class:`CheckContext` that returns
+its failures and a one-line summary.  :func:`run_all` owns the context,
+the verdict and the budget: a check passes when it reports no failure
+and stays within its wall-clock budget, and its detail is the summary,
+or else the failures joined by ``"; "``.  A check that raises
+:class:`~webfoam.errors.InternalConsistencyError` becomes a failing
+result carrying the exception text, and the remaining checks still run.
 
 The same checks back the acceptance test module, so the CLI table and
 the test suite can never drift apart.
@@ -25,7 +25,21 @@ from .errors import InternalConsistencyError
 from .foams import eval_sphere, eval_theta
 from .laurent import LaurentPoly, ONE, P, ZERO
 
-__all__ = ["CheckResult", "CHECKS", "run_all"]
+__all__ = ["CheckContext", "CheckResult", "CHECKS", "run_all"]
+
+
+@dataclass(frozen=True)
+class CheckContext:
+    """The values a ``verify-all`` run may set; each check reads what it needs."""
+
+    #: Directory of web JSON files for the Tait check; None means the shipped corpus.
+    corpus: Path | None = None
+    #: Seed of the randomized rank in the property suite.
+    seed: int = 0
+
+
+#: A check's outcome: its failures (empty when it passed) and a summary.
+Outcome = tuple[list[str], str]
 
 
 @dataclass(frozen=True)
@@ -59,21 +73,14 @@ def _fail(messages: list[str], condition: bool, label: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def check_tait_formula(
-    max_vertices: int = 10, corpus: "Path | None" = None
-) -> tuple[bool, str]:
+def check_tait_formula(ctx: CheckContext) -> Outcome:
+    max_vertices = 10
     problems: list[str] = []
     pinned = {"dodecahedron": 60, "petersen": 0}
     counts = {}
-    if corpus is None:
-        names = webs.corpus_names()
-        load = webs.corpus_web
-    else:
-        paths = {p.stem: p for p in sorted(corpus.glob("*.json"))}
-        names = sorted(paths)
-        load = lambda name: webs.load_web(paths[name])  # noqa: E731
-    for name in names:
-        web = load(name).validate()
+    for path in sorted((ctx.corpus or webs.corpus_dir()).glob("*.json")):
+        name = path.stem
+        web = webs.load_web(path).validate()
         bt = webs.count_tait_backtracking(web)
         mf = webs.count_tait_matching_formula(web)
         counts[name] = bt
@@ -88,15 +95,12 @@ def check_tait_formula(
             generated += 1
             if bt != mf:
                 problems.append(f"{web.name}: backtracking {bt} != formula {mf}")
-    detail = (
+    return problems, (
         f"corpus of {len(counts)} webs agrees "
         f"(dodecahedron={counts.get('dodecahedron')}, petersen={counts.get('petersen')}); "
         f"{generated} generated connected cubic multigraphs (<= {max_vertices} "
         "vertices, up to isomorphism) agree"
     )
-    if problems:
-        detail = "; ".join(problems)
-    return not problems, detail
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +133,8 @@ def _theta_reduce_first(m1: int, m2: int, m3: int) -> LaurentPoly:
     return ZERO
 
 
-def check_foam_table(max_dots: int = 8) -> tuple[bool, str]:
+def check_foam_table(ctx: CheckContext) -> Outcome:
+    max_dots = 8
     problems: list[str] = []
     expected_spheres = [ZERO, ZERO, ONE, ZERO, P, ZERO, P**2, ZERO, P**3]
     got = [eval_sphere(m) for m in range(9)]
@@ -156,13 +161,10 @@ def check_foam_table(max_dots: int = 8) -> tuple[bool, str]:
         if sum(dots) % 2 == 0 and value != ZERO:
             problems.append(f"theta{dots}: even dot sum but nonzero value")
             break
-    detail = (
+    return problems, (
         f"sphere table 0..8 exact; {checked} theta triples (entries <= {max_dots}) "
         "match the closed form, all 6 permutations, and first-entry reduction"
     )
-    if problems:
-        detail = "; ".join(problems)
-    return not problems, detail
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +172,7 @@ def check_foam_table(max_dots: int = 8) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def check_unknot_model() -> tuple[bool, str]:
+def check_unknot_model(ctx: CheckContext) -> Outcome:
     problems: list[str] = []
     module = operators.unknot_module()
     u = module.operator("e")
@@ -194,13 +196,10 @@ def check_unknot_model() -> tuple[bool, str]:
         decomposition.rank(["e"]) == 1 and decomposition.rank([]) == 2,
         "edge decomposition ranks differ from (1, 2)",
     )
-    detail = (
+    return problems, (
         "pinned 3x3 matrix; u^3+P*u=0; ker/im ranks 1/2 over the fraction field; "
         "kernel spanned by (P,0,1); summand ranks (1,2)"
     )
-    if problems:
-        detail = "; ".join(problems)
-    return not problems, detail
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +207,10 @@ def check_unknot_model() -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def check_theta_model() -> tuple[bool, str]:
+def check_theta_model(ctx: CheckContext) -> Outcome:
     problems: list[str] = []
     module = operators.theta_module()
-    report = operators.check_vertex_relations(module, ("e1", "e2", "e3"))
-    for name, ok in report.entries:
+    for name, ok in operators.check_vertex_relations(module, ("e1", "e2", "e3")):
         _fail(problems, ok, f"relation failed: {name}")
     decomposition = operators.edge_decomposition(module, ("e1", "e2", "e3"))
     for edge in ("e1", "e2", "e3"):
@@ -225,14 +223,11 @@ def check_theta_model() -> tuple[bool, str]:
     _fail(problems, total == 6, f"summand ranks total {total} != 6")
     for name, ok in decomposition.projection_checks:
         _fail(problems, ok, f"projection identity failed: {name}")
-    detail = (
+    return problems, (
         "derived 6x6 operators satisfy the vertex and cubic relations; "
         "edge decomposition is 2+2+2 on singletons and 0 elsewhere; "
         "projections are orthogonal idempotents summing to 1"
     )
-    if problems:
-        detail = "; ".join(problems)
-    return not problems, detail
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +235,10 @@ def check_theta_model() -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def check_order_four() -> tuple[bool, str]:
-    certificate = homology.order_four_certificate()
-    if certificate.all_pass:
-        return True, "; ".join(claim for claim, _, _ in certificate.entries)
-    return False, "; ".join(
-        f"{claim}: got {got}" for claim, got, ok in certificate.entries if not ok
-    )
+def check_order_four(ctx: CheckContext) -> Outcome:
+    entries = homology.order_four_certificate()
+    problems = [f"{claim}: got {got}" for claim, got, ok in entries if not ok]
+    return problems, "; ".join(claim for claim, _, _ in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +246,7 @@ def check_order_four() -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def check_handcuffs_pair() -> tuple[bool, str]:
+def check_handcuffs_pair(ctx: CheckContext) -> Outcome:
     problems: list[str] = []
     web = webs.corpus_web("handcuffs").validate()
     sets = webs.one_sets(web)
@@ -293,14 +285,11 @@ def check_handcuffs_pair() -> tuple[bool, str]:
             rep.r == 4 and not rep.torsion_exponents,
             f"direction {direction}: r={rep.r}, torsion={rep.torsion_exponents}",
         )
-    detail = (
+    return problems, (
         "abstract handcuffs have exactly one 1-set (the connecting edge), odd, "
         "predicted rank 0; the linked model is free of rank 4 with no torsion "
         "in either direction and F2 dimension 4"
     )
-    if problems:
-        detail = "; ".join(problems)
-    return not problems, detail
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +297,15 @@ def check_handcuffs_pair() -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def check_property_suite(seed: int = 0, count: int = 200) -> tuple[bool, str]:
+def check_property_suite(ctx: CheckContext) -> Outcome:
+    count = 200
     problems: list[str] = []
     degenerate = 0
     for k in range(count):
         size = 2 + (k % 11)
-        module = homology.random_complex(seed * 1_000_003 + k, size)
+        module = homology.random_complex(ctx.seed * 1_000_003 + k, size)
         f2 = module.f2_dim()
-        fr = module.frac_rank(seed=seed)
+        fr = module.frac_rank(seed=ctx.seed)
         if f2 < fr:
             problems.append(f"module {k}: f2_dim {f2} < frac_rank {fr}")
             break
@@ -328,14 +318,11 @@ def check_property_suite(seed: int = 0, count: int = 200) -> tuple[bool, str]:
                 break
             if rep.degenerate_direction:
                 degenerate += 1
-    detail = (
+    return problems, (
         f"{count} seeded square-zero modules (rank <= 12): f2_dim >= frac_rank, "
         f"f2_dim = r + 2l in both directions, exact and randomized ranks agree "
         f"({degenerate} degenerate direction analyses)"
     )
-    if problems:
-        detail = "; ".join(problems)
-    return not problems, detail
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +330,7 @@ def check_property_suite(seed: int = 0, count: int = 200) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def check_cone_p() -> tuple[bool, str]:
+def check_cone_p(ctx: CheckContext) -> Outcome:
     problems: list[str] = []
     module = homology.cone_of_p()
     _fail(problems, module.frac_rank() == 0, "frac_rank != 0")
@@ -354,13 +341,10 @@ def check_cone_p() -> tuple[bool, str]:
         rep.torsion_exponents == (4, 4) and rep.r == 0,
         f"direction (1,1,1): r={rep.r}, torsion={rep.torsion_exponents}",
     )
-    detail = "cone of P*I on rank 2: frac_rank 0, f2_dim 4, torsion exponents {4,4}"
-    if problems:
-        detail = "; ".join(problems)
-    return not problems, detail
+    return problems, "cone of P*I on rank 2: frac_rank 0, f2_dim 4, torsion exponents {4,4}"
 
 
-CHECKS: dict[str, tuple[Callable[[], tuple[bool, str]], float]] = {
+CHECKS: dict[str, tuple[Callable[[CheckContext], Outcome], float]] = {
     "cone-p": (check_cone_p, 1.0),
     "foam-table": (check_foam_table, 5.0),
     "handcuffs-pair": (check_handcuffs_pair, 5.0),
@@ -377,6 +361,7 @@ def run_all(
     corpus: Path | None = None,
     seed: int = 0,
 ) -> list[CheckResult]:
+    ctx = CheckContext(corpus, seed)
     selected = sorted(CHECKS) if keys is None else sorted(keys)
     unknown = [k for k in selected if k not in CHECKS]
     if unknown:
@@ -389,12 +374,9 @@ def run_all(
         start = time.perf_counter()
         internal_error = False
         try:
-            if key == "tait-formula":
-                passed, detail = check_tait_formula(corpus=corpus)
-            elif key == "inequality-uct-suite":
-                passed, detail = check_property_suite(seed=seed)
-            else:
-                passed, detail = func()
+            failures, summary = func(ctx)
+            passed = not failures
+            detail = "; ".join(failures) if failures else summary
         except InternalConsistencyError as exc:
             passed, detail = False, f"internal consistency failure: {exc}"
             internal_error = True

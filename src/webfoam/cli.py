@@ -47,6 +47,10 @@ def _emit_json(data: object) -> None:
     print(json.dumps(data, sort_keys=True, indent=2))
 
 
+def _status_line(ok: bool, label: str) -> str:
+    return f"{'PASS' if ok else 'FAIL'}  {label}"
+
+
 def _parse_direction(text: str) -> tuple[int, int, int]:
     try:
         parts = tuple(int(x) for x in text.split(","))
@@ -275,14 +279,13 @@ def _cmd_ops(args: argparse.Namespace) -> int:
     if args.check:
         checks: list[tuple[str, bool]] = []
         if vertex is not None:
-            checks.extend(operators.check_vertex_relations(module, vertex).entries)
+            checks.extend(operators.check_vertex_relations(module, vertex))
         else:
             ok = operators._cubic_relation_holds(module.operator("e"))
             checks.append(("e^3 + P*e = 0", ok))
-        report["checks"] = {name: ok for name, ok in checks}
-        for name, ok in checks:
-            lines.append(f"{'PASS' if ok else 'FAIL'}  {name}")
-            failed |= not ok
+        report["checks"] = dict(checks)
+        lines.extend(_status_line(ok, name) for name, ok in checks)
+        failed |= not all(ok for _, ok in checks)
 
     if args.decompose:
         decomposition = operators.edge_decomposition(module, vertex)
@@ -294,13 +297,11 @@ def _cmd_ops(args: argparse.Namespace) -> int:
         lines.append("summand ranks over Frac(R):")
         for key in sorted(ranks):
             lines.append(f"  {key or '{}'}: {ranks[key]}")
-        if decomposition.projection_checks:
-            report["projections"] = {
-                name: ok for name, ok in decomposition.projection_checks
-            }
-            for name, ok in decomposition.projection_checks:
-                lines.append(f"{'PASS' if ok else 'FAIL'}  {name}")
-                failed |= not ok
+        projections = decomposition.projection_checks
+        if projections:
+            report["projections"] = dict(projections)
+            lines.extend(_status_line(ok, name) for name, ok in projections)
+            failed |= not all(ok for _, ok in projections)
 
     if args.json:
         _emit_json(report)
@@ -356,20 +357,22 @@ def _analyze_module(
 
 def _cmd_complex(args: argparse.Namespace) -> int:
     if args.complex_command == "certify-order4":
-        certificate = homology.order_four_certificate()
+        entries = homology.order_four_certificate()
+        passed = all(ok for _, _, ok in entries)
         if args.json:
             _emit_json(
                 {
                     "entries": [
                         {"claim": claim, "computed": got, "passed": ok}
-                        for claim, got, ok in certificate.entries
+                        for claim, got, ok in entries
                     ],
-                    "passed": certificate.all_pass,
+                    "passed": passed,
                 }
             )
         else:
-            print(certificate)
-        return EXIT_OK if certificate.all_pass else EXIT_CHECK_FAILED
+            for claim, got, ok in entries:
+                print(_status_line(ok, f"{claim}: {got}"))
+        return EXIT_OK if passed else EXIT_CHECK_FAILED
     if args.complex_command == "analyze":
         path = Path(args.complex)
         module = homology.load_complex(path)
@@ -407,9 +410,8 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     else:
         width = max(len(r.key) for r in results)
         for r in results:
-            status = "PASS" if r.passed else "FAIL"
             stamp = f"  ({r.seconds:6.2f}s)" if args.timings else ""
-            print(f"{status}  {r.key:<{width}}{stamp}  {r.detail}")
+            print(_status_line(r.passed, f"{r.key:<{width}}{stamp}  {r.detail}"))
         print("all checks passed" if all(r.passed for r in results) else "FAILURES")
     internal = [r for r in results if r.internal_error]
     for r in internal:

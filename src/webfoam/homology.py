@@ -39,7 +39,7 @@ from .laurent import (
     ZERO,
     eval_at_ones,
     gf2_mul,
-    gf2_pow,
+    gf2_mul_one_plus_t_pow,
     gf2_valuation,
     m_adic_order,
     substitute_line,
@@ -51,7 +51,6 @@ from .operators import unknot_module
 __all__ = [
     "DifferentialModule",
     "SpecializationReport",
-    "OrderFourCertificate",
     "DIRECTIONS",
     "cone_of_p",
     "linked_handcuffs_model",
@@ -188,14 +187,14 @@ class DifferentialModule:
         for row in substituted:
             for x in row:
                 k = x.den.bit_length() - 1
-                if x.den != gf2_pow(0b11, k):
+                if x.den != gf2_mul_one_plus_t_pow(1, k):
                     raise InternalConsistencyError(
                         "denominator after line substitution is not a power of 1+t"
                     )
                 max_k = max(max_k, k)
         cleared = [
             [
-                gf2_mul(x.num, gf2_pow(0b11, max_k - (x.den.bit_length() - 1)))
+                gf2_mul_one_plus_t_pow(x.num, max_k - (x.den.bit_length() - 1))
                 for x in row
             ]
             for row in substituted
@@ -290,24 +289,11 @@ def random_complex(seed: int, size: int) -> DifferentialModule:
     return DifferentialModule(n, d)
 
 
-@dataclass(frozen=True)
-class OrderFourCertificate:
-    """Computed evidence that P vanishes to order exactly 4 at (1,1,1)."""
+def order_four_certificate() -> tuple[tuple[str, str, bool], ...]:
+    """Computed evidence that P vanishes to order exactly 4 at (1,1,1).
 
-    entries: tuple[tuple[str, str, bool], ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(ok for _, _, ok in self.entries)
-
-    def __str__(self) -> str:
-        return "\n".join(
-            f"{'PASS' if ok else 'FAIL'}  {claim}: {got}"
-            for claim, got, ok in self.entries
-        )
-
-
-def order_four_certificate() -> OrderFourCertificate:
+    Returns ``(claim, computed value, holds)`` triples.
+    """
     entries = []
 
     order = m_adic_order(P)
@@ -347,7 +333,7 @@ def order_four_certificate() -> OrderFourCertificate:
             img == expected and img.valuation() == 4,
         )
     )
-    return OrderFourCertificate(tuple(entries))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------

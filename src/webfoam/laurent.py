@@ -53,6 +53,7 @@ __all__ = [
     "gf2_divmod",
     "gf2_gcd",
     "gf2_pow",
+    "gf2_mul_one_plus_t_pow",
     "gf2_valuation",
     "T_POWER_SERIES_DEFAULT_ORDER",
     "MAX_PARSED_EXPONENT",
@@ -416,6 +417,22 @@ def gf2_pow(a: int, n: int) -> int:
     return result
 
 
+def gf2_mul_one_plus_t_pow(a: int, s: int) -> int:
+    """The product a * (1+t)^s in F2[t], for s >= 0.
+
+    In characteristic 2, (1+t)^(2^k) = 1 + t^(2^k), so (1+t)^s is the
+    product of 1 + t^(2^k) over the set bits k of s, and each factor
+    costs one shift and one xor.
+    """
+    step = 1
+    while s:
+        if s & 1:
+            a ^= a << step
+        s >>= 1
+        step <<= 1
+    return a
+
+
 def gf2_valuation(a: int) -> int | float:
     """t-adic valuation: index of the lowest set bit; inf for zero."""
     if a == 0:
@@ -484,10 +501,6 @@ class UnivariateRational:
 
     def valuation(self) -> int | float:
         return gf2_valuation(self.num)
-
-    def residue_at_zero(self) -> int:
-        """Value in F2 of the function at t = 0."""
-        return (self.num & 1) & 1  # den(0) = 1 always
 
     def __str__(self) -> str:
         num = _format_gf2(self.num)
@@ -677,5 +690,5 @@ def substitute_line(
     shift = max(0, -min(sums))
     num = 0
     for s in sums:
-        num ^= gf2_pow(0b11, s + shift)
-    return UnivariateRational(num, gf2_pow(0b11, shift))
+        num ^= gf2_mul_one_plus_t_pow(1, s + shift)
+    return UnivariateRational(num, gf2_mul_one_plus_t_pow(1, shift))

@@ -34,7 +34,6 @@ from .linalg import Matrix
 __all__ = [
     "OperatorModule",
     "EdgeDecomposition",
-    "VertexRelationReport",
     "unknot_module",
     "theta_module",
     "check_vertex_relations",
@@ -49,7 +48,6 @@ class OperatorModule:
     rank: int
     basis_labels: tuple
     operators: dict[str, Matrix]
-    validate: bool = True
 
     def __post_init__(self):
         if len(self.basis_labels) != self.rank:
@@ -57,8 +55,7 @@ class OperatorModule:
         for name, mat in self.operators.items():
             if len(mat) != self.rank or any(len(row) != self.rank for row in mat):
                 raise ValueError(f"operator {name!r} is not {self.rank}x{self.rank}")
-        if self.validate:
-            self.check_relations()
+        self.check_relations()
 
     def check_relations(self) -> None:
         """Cubic relation and pairwise commutation, as exact identities."""
@@ -131,8 +128,7 @@ def theta_module() -> OperatorModule:
 
 
 def _check_theta_relations(module: OperatorModule) -> None:
-    report = check_vertex_relations(module, ("e1", "e2", "e3"))
-    for name, ok in report.entries:
+    for name, ok in check_vertex_relations(module, ("e1", "e2", "e3")):
         if not ok:
             raise InternalConsistencyError(f"theta operators violate {name}")
 
@@ -145,26 +141,13 @@ def _cubic_relation_holds(u: Matrix) -> bool:
     return linalg.is_zero_matrix(cubic)
 
 
-@dataclass(frozen=True)
-class VertexRelationReport:
-    """Outcome of the three vertex relations plus the cubic relations."""
-
-    entries: tuple[tuple[str, bool], ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(ok for _, ok in self.entries)
-
-    def __str__(self) -> str:
-        return "\n".join(
-            f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in self.entries
-        )
-
-
 def check_vertex_relations(
     module: OperatorModule, incident: tuple[str, str, str]
-) -> VertexRelationReport:
+) -> tuple[tuple[str, bool], ...]:
     """Verify the vertex relations for three incident edge operators.
+
+    Returns ``(label, holds)`` pairs: the three vertex relations, then
+    the cubic relation of each operator.
 
     At a trivalent vertex an edge can appear at most twice (a loop), so a
     triple naming the same edge three times is rejected as ill-typed.
@@ -194,7 +177,7 @@ def check_vertex_relations(
     checks.append(("u1*u2*u3 = 0", linalg.is_zero_matrix(triple)))
     for name, u in zip(incident, (u1, u2, u3)):
         checks.append((f"{name}^3 + P*{name} = 0", _cubic_relation_holds(u)))
-    return VertexRelationReport(tuple(checks))
+    return tuple(checks)
 
 
 @dataclass(frozen=True)
@@ -213,10 +196,6 @@ class EdgeDecomposition:
         return linalg.nullspace_frac(
             _constraints(self.module, frozenset(subset))
         )
-
-    @property
-    def projections_pass(self) -> bool:
-        return all(ok for _, ok in self.projection_checks)
 
 
 def _constraints(module: OperatorModule, subset: frozenset) -> Matrix:

@@ -124,12 +124,6 @@ class Web:
                 deg[v] += 1
         return deg
 
-    def edge(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(edge_id)
-
     @property
     def circles(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.kind == "circle")

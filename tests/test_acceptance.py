@@ -31,11 +31,12 @@ def test_acceptance_criterion(number, key, budget):
     func, registered_budget = acceptance.CHECKS[key]
     assert registered_budget == budget
     start = time.perf_counter()
-    passed, detail = func()
+    failures, summary = func(acceptance.CheckContext())
     elapsed = time.perf_counter() - start
-    status = "PASS" if passed and elapsed <= budget else "FAIL"
+    status = "PASS" if not failures and elapsed <= budget else "FAIL"
+    detail = "; ".join(failures) or summary
     print(f"ACCEPTANCE {number} [{key}] {status} ({elapsed:.2f}s): {detail}")
-    assert passed, detail
+    assert not failures, detail
     assert elapsed <= budget, f"{key} took {elapsed:.1f}s (budget {budget:.0f}s)"
 
 
@@ -47,8 +48,32 @@ def test_run_all_aggregates():
         acceptance.run_all(keys=["nope"])
 
 
+def test_run_all_hands_the_context_to_every_check(monkeypatch, tmp_path):
+    seen = []
+
+    def recording(ctx):
+        seen.append(ctx)
+        return [], "recorded"
+
+    monkeypatch.setitem(acceptance.CHECKS, "cone-p", (recording, 1.0))
+    monkeypatch.setitem(acceptance.CHECKS, "unknot-model", (recording, 1.0))
+    results = acceptance.run_all(["cone-p", "unknot-model"], corpus=tmp_path, seed=7)
+    assert seen == [acceptance.CheckContext(corpus=tmp_path, seed=7)] * 2
+    assert [(r.passed, r.detail) for r in results] == [(True, "recorded")] * 2
+
+
+def test_failures_become_the_detail(monkeypatch):
+    def failing(ctx):
+        return ["first problem", "second problem"], "unused summary"
+
+    monkeypatch.setitem(acceptance.CHECKS, "cone-p", (failing, 1.0))
+    (result,) = acceptance.run_all(["cone-p"])
+    assert not result.passed
+    assert result.detail == "first problem; second problem"
+
+
 def test_internal_error_becomes_a_fail_row(monkeypatch, capsys):
-    def broken():
+    def broken(ctx):
         raise InternalConsistencyError("rank routes disagree")
 
     monkeypatch.setitem(acceptance.CHECKS, "order4-certificate", (broken, 1.0))

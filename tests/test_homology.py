@@ -199,9 +199,8 @@ class TestRandomComplexes:
 class TestCertificate:
     def test_all_facts_pass(self):
         certificate = order_four_certificate()
-        assert certificate.all_pass
-        assert len(certificate.entries) == 4
-        assert "PASS" in str(certificate)
+        assert all(ok for _, _, ok in certificate)
+        assert len(certificate) == 4
 
 
 class TestJson:

@@ -21,6 +21,7 @@ from webfoam.laurent import (
     gf2_divmod,
     gf2_gcd,
     gf2_mul,
+    gf2_mul_one_plus_t_pow,
     gf2_pow,
     gf2_valuation,
     m_adic_order,
@@ -262,6 +263,14 @@ class TestUnivariate:
         assert gf2_pow(0b10, 5) == 1 << 5
         assert gf2_valuation(0b1100) == 2
         assert gf2_valuation(0) == math.inf
+
+    def test_frobenius_power_matches_repeated_squaring(self):
+        rng = random.Random(20240)
+        for s in range(513):
+            power = gf2_pow(0b11, s)
+            assert gf2_mul_one_plus_t_pow(1, s) == power
+            a = rng.getrandbits(12)
+            assert gf2_mul_one_plus_t_pow(a, s) == gf2_mul(a, power)
 
     def test_rational_arithmetic(self):
         # t/(1+t) + t = (t + t + t^2)/(1+t) = t^2/(1+t)

@@ -282,3 +282,30 @@ class TestSmithNormalForm:
                         row[i] ^= gf2_mul(c, row[j])
             got = sorted(gf2_valuation(d) for d in smith_normal_form(mat))
             assert got == reference
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        t = sympy.Symbol("t")
+        domain = sympy.GF(2)[t]
+
+        def to_sympy(a):
+            return sum((t**k for k in range(a.bit_length()) if a >> k & 1), 0)
+
+        def from_sympy(expr):
+            poly = sympy.Poly(expr, t, modulus=2)
+            return sum(1 << k for (k,), c in poly.terms() if int(c) % 2)
+
+        rng = random.Random(20240)
+        for _ in range(40):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            mat = [
+                [random_gf2poly(rng, 5) if rng.random() < 0.8 else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            reference = sympy_snf(
+                sympy.Matrix([[to_sympy(a) for a in row] for row in mat]), domain=domain
+            )
+            diag = [from_sympy(reference[k, k]) for k in range(min(rows, cols))]
+            assert smith_normal_form(mat) == [d for d in diag if d], mat

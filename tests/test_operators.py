@@ -53,8 +53,8 @@ class TestUnknotModule:
 class TestThetaModule:
     def test_vertex_relations_pass(self):
         report = check_vertex_relations(theta_module(), ("e1", "e2", "e3"))
-        assert report.all_pass
-        names = [name for name, _ in report.entries]
+        assert all(ok for _, ok in report)
+        names = [name for name, _ in report]
         assert "u1 + u2 + u3 = 0" in names
         assert "u2*u3 + u3*u1 + u1*u2 = P" in names
         assert "u1*u2*u3 = 0" in names
@@ -98,7 +98,7 @@ class TestThetaModule:
         assert dec.rank(["e1", "e2"]) == 0
         assert dec.rank(["e1", "e2", "e3"]) == 0
         assert sum(dec.subset_ranks.values()) == 6
-        assert dec.projections_pass
+        assert all(ok for _, ok in dec.projection_checks)
 
     def test_summand_basis_lies_in_the_summand(self):
         module = theta_module()
@@ -140,21 +140,20 @@ class TestGuards:
 
     @staticmethod
     def corrupted_theta() -> OperatorModule:
-        corrupt = {
-            name: [row[:] for row in mat]
-            for name, mat in theta_module().operators.items()
-        }
-        corrupt["e2"][0][0] = corrupt["e2"][0][0] + ONE
-        return OperatorModule(
+        module = OperatorModule(
             rank=6,
             basis_labels=theta_module().basis_labels,
-            operators=corrupt,
-            validate=False,
+            operators={
+                name: [row[:] for row in mat]
+                for name, mat in theta_module().operators.items()
+            },
         )
+        module.operators["e2"][0][0] = module.operators["e2"][0][0] + ONE
+        return module
 
     def test_corrupted_module_fails_some_relation(self):
         report = check_vertex_relations(self.corrupted_theta(), ("e1", "e2", "e3"))
-        assert not report.all_pass
+        assert not all(ok for _, ok in report)
 
     def test_projection_identities_catch_a_corrupted_module(self):
         edges = ("e1", "e2", "e3")
