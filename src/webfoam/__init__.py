@@ -2,8 +2,9 @@
 
 Subpackages by topic:
 
-* :mod:`webfoam.laurent` -- the coefficient ring, exact division,
-  line substitutions and the order of vanishing at (1,1,1);
+* :mod:`webfoam.laurent` -- the coefficient ring, exact division, line
+  images ``num / (1+t)^k`` over F2[t], and the leading form and order of
+  vanishing at (1,1,1);
 * :mod:`webfoam.linalg` -- fraction-free elimination (rank, determinant,
   solves, null spaces), randomized rank, Smith normal form;
 * :mod:`webfoam.webs` -- cubic multigraphs, 1-sets, Tait counts;
@@ -26,16 +27,15 @@ from .laurent import (
     T1,
     T2,
     T3,
-    TruncatedSeries,
-    UnivariateRational,
     ZERO,
     eval_at_ones,
+    leading_form,
     m_adic_order,
     p_monomials,
     substitute_line,
 )
 from .linalg import fraction_rank
-from .foams import DottedSphere, DottedTheta, eval_sphere, eval_theta, pairing_matrix
+from .foams import eval_sphere, eval_theta, pairing_matrix
 from .webs import (
     CycleDecomposition,
     Edge,
@@ -79,8 +79,6 @@ __all__ = [
     "ValidationError",
     "InternalConsistencyError",
     "LaurentPoly",
-    "TruncatedSeries",
-    "UnivariateRational",
     "ZERO",
     "ONE",
     "T1",
@@ -89,11 +87,10 @@ __all__ = [
     "P",
     "p_monomials",
     "eval_at_ones",
+    "leading_form",
     "m_adic_order",
     "substitute_line",
     "fraction_rank",
-    "DottedSphere",
-    "DottedTheta",
     "eval_sphere",
     "eval_theta",
     "pairing_matrix",

@@ -78,7 +78,8 @@ def check_tait_formula(ctx: CheckContext) -> Outcome:
     problems: list[str] = []
     pinned = {"dodecahedron": 60, "petersen": 0}
     counts = {}
-    for path in sorted((ctx.corpus or webs.corpus_dir()).glob("*.json")):
+    corpus = ctx.corpus or webs.corpus_dir()
+    for path in sorted(corpus.glob("*.json")):
         name = path.stem
         web = webs.load_web(path).validate()
         bt = webs.count_tait_backtracking(web)
@@ -87,6 +88,7 @@ def check_tait_formula(ctx: CheckContext) -> Outcome:
         _fail(problems, bt == mf, f"{name}: backtracking {bt} != formula {mf}")
         if name in pinned:
             _fail(problems, bt == pinned[name], f"{name}: {bt} != {pinned[name]}")
+    _fail(problems, bool(counts), f"{corpus}: no *.json web in the corpus")
     generated = 0
     for n in range(2, max_vertices + 1, 2):
         for web in webs.generate_connected_cubic(n):
@@ -364,10 +366,11 @@ def run_all(
     ctx = CheckContext(corpus, seed)
     selected = sorted(CHECKS) if keys is None else sorted(keys)
     unknown = [k for k in selected if k not in CHECKS]
+    available = ", ".join(sorted(CHECKS))
     if unknown:
-        raise ValueError(
-            f"unknown check keys {unknown}; available: {', '.join(sorted(CHECKS))}"
-        )
+        raise ValueError(f"unknown check keys {unknown}; available: {available}")
+    if not selected:
+        raise ValueError(f"no check keys selected; available: {available}")
     results = []
     for key in selected:
         func, budget = CHECKS[key]

@@ -198,7 +198,9 @@ def _web_summary(web: webs.Web) -> dict:
     kinds = {"edge": 0, "loop": 0, "circle": 0}
     for e in web.edges:
         kinds[e.kind] += 1
-    sets = webs.one_sets(web)
+    # each 1-set of the circle-free web extends by any subset of circles,
+    # and circles have no vertices, so evenness is unchanged
+    sets = webs.one_sets(webs.without_circles(web))
     even = sum(1 for s in sets if s.is_even())
     return {
         "name": web.name,
@@ -206,8 +208,8 @@ def _web_summary(web: webs.Web) -> dict:
         "edges": kinds["edge"],
         "loops": kinds["loop"],
         "circles": kinds["circle"],
-        "one_sets": len(sets),
-        "even_one_sets": even,
+        "one_sets": len(sets) << kinds["circle"],
+        "even_one_sets": even << kinds["circle"],
         "declared_planar": web.planar,
         "abstract_planar": webs.is_abstract_planar(web),
     }

@@ -18,13 +18,10 @@ assuming it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .laurent import LaurentPoly, ONE, P, ZERO
 
 __all__ = [
-    "DottedSphere",
-    "DottedTheta",
     "eval_sphere",
     "eval_theta",
     "pairing_matrix",
@@ -36,34 +33,6 @@ __all__ = [
 THETA_BASIS_DOTS: tuple[tuple[int, int, int], ...] = tuple(
     (0, m, n) for m in (0, 1) for n in (0, 1, 2)
 )
-
-
-@dataclass(frozen=True)
-class DottedSphere:
-    """A 2-sphere carrying ``dots`` dots."""
-
-    dots: int
-
-    def __post_init__(self):
-        if self.dots < 0:
-            raise ValueError("dot count must be nonnegative")
-
-    def evaluate(self) -> LaurentPoly:
-        return eval_sphere(self.dots)
-
-
-@dataclass(frozen=True)
-class DottedTheta:
-    """Three disks with a common boundary circle, carrying dots per disk."""
-
-    dots: tuple[int, int, int]
-
-    def __post_init__(self):
-        if any(m < 0 for m in self.dots):
-            raise ValueError("dot counts must be nonnegative")
-
-    def evaluate(self) -> LaurentPoly:
-        return eval_theta(*self.dots)
 
 
 def eval_sphere(m: int) -> LaurentPoly:

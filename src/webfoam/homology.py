@@ -35,13 +35,12 @@ from .errors import InputError, InternalConsistencyError, ValidationError, _read
 from .laurent import (
     LaurentPoly,
     P,
-    UnivariateRational,
     ZERO,
     eval_at_ones,
-    gf2_mul,
+    format_line_image,
     gf2_mul_one_plus_t_pow,
     gf2_valuation,
-    m_adic_order,
+    leading_form,
     substitute_line,
 )
 from . import linalg
@@ -179,24 +178,12 @@ class DifferentialModule:
         """
         if direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
-        substituted: list[list[UnivariateRational]] = [
-            [substitute_line(x, direction) for x in row]  # type: ignore[misc]
-            for row in self.differential
+        substituted = [
+            [substitute_line(x, direction) for x in row] for row in self.differential
         ]
-        max_k = 0
-        for row in substituted:
-            for x in row:
-                k = x.den.bit_length() - 1
-                if x.den != gf2_mul_one_plus_t_pow(1, k):
-                    raise InternalConsistencyError(
-                        "denominator after line substitution is not a power of 1+t"
-                    )
-                max_k = max(max_k, k)
+        max_k = max((k for row in substituted for _, k in row), default=0)
         cleared = [
-            [
-                gf2_mul_one_plus_t_pow(x.num, max_k - (x.den.bit_length() - 1))
-                for x in row
-            ]
+            [gf2_mul_one_plus_t_pow(num, max_k - k) for num, k in row]
             for row in substituted
         ]
         diag = linalg.smith_normal_form(cleared)
@@ -296,11 +283,9 @@ def order_four_certificate() -> tuple[tuple[str, str, bool], ...]:
     """
     entries = []
 
-    order = m_adic_order(P)
+    order, lead = leading_form(P)
     entries.append(("order of vanishing of P at (1,1,1)", str(order), order == 4))
 
-    series = substitute_line(P, "symbolic")
-    k, lead = series.leading()
     expected_lead = (
         LaurentPoly.monomial(2, 2, 0)
         + LaurentPoly.monomial(2, 0, 2)
@@ -309,30 +294,17 @@ def order_four_certificate() -> tuple[tuple[str, str, bool], ...]:
     entries.append(
         (
             "symbolic substitution T_i = 1 + z_i*t, leading term",
-            f"({str(lead).replace('T', 'z')}) * t^{k}",
-            (k, lead) == (4, expected_lead),
+            f"({str(lead).replace('T', 'z')}) * t^{order}",
+            (order, lead) == (4, expected_lead),
         )
     )
 
-    img = substitute_line(P, (1, 1, 1))
-    expected = UnivariateRational(0b10000, 0b11)  # t^4 / (1+t)
-    entries.append(
-        (
-            "image of P along (1,1,1), exactly t^4/(1+t)",
-            str(img),
-            img == expected and img.valuation() == 4,
-        )
-    )
-
-    img = substitute_line(P, (1, 1, 0))
-    expected = UnivariateRational(0b10000, gf2_mul(0b11, 0b11))  # t^4 / (1+t)^2
-    entries.append(
-        (
-            "image of P along (1,1,0), exactly t^4/(1+t)^2",
-            str(img),
-            img == expected and img.valuation() == 4,
-        )
-    )
+    for direction, k, claim in (
+        ((1, 1, 1), 1, "image of P along (1,1,1), exactly t^4/(1+t)"),
+        ((1, 1, 0), 2, "image of P along (1,1,0), exactly t^4/(1+t)^2"),
+    ):
+        img = substitute_line(P, direction)
+        entries.append((claim, format_line_image(*img), img == (0b10000, k)))
     return tuple(entries)
 
 

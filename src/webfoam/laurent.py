@@ -7,18 +7,14 @@ triples.  Addition is symmetric difference, multiplication is exponent
 convolution with parity bookkeeping.  Values are immutable and hashable;
 two values are equal exactly when their term sets are equal.
 
-The module also provides the companion scalar domains used elsewhere in
-the package (the fraction field of the Laurent ring is never formed:
-ranks over it come from fraction-free elimination in :mod:`webfoam.linalg`):
-
-* univariate polynomials over F2 in a variable ``t``, represented as
-  Python integers with bit ``k`` holding the coefficient of ``t**k``
-  (functions :func:`gf2_mul`, :func:`gf2_divmod`, ...), and
-  :class:`UnivariateRational` built on top of them.
-* :class:`TruncatedSeries` -- power series in ``t`` truncated at a fixed
-  order, with coefficients that are polynomials in auxiliary variables
-  ``z1, z2, z3`` (stored as LaurentPoly values with nonnegative
-  exponents).
+The module also provides univariate polynomials over F2 in a variable
+``t``, represented as Python integers with bit ``k`` holding the
+coefficient of ``t**k`` (functions :func:`gf2_mul`, :func:`gf2_divmod`,
+...).  Along a line ``T_i = 1 + c_i t`` through (1, 1, 1) every element
+maps to ``num / (1+t)^k`` (:func:`substitute_line`), and ``(1+t)^k`` is a
+unit at t = 0, so the pair ``(num, k)`` is all the local analysis needs.
+The fraction field of the Laurent ring is never formed: ranks over it
+come from fraction-free elimination in :mod:`webfoam.linalg`.
 
 The distinguished element ``P`` is the sum of the four monomials with
 all exponents in {-1, +1} and an even number of -1 entries; see
@@ -44,29 +40,25 @@ __all__ = [
     "P",
     "p_monomials",
     "eval_at_ones",
+    "leading_form",
     "m_adic_order",
     "poly_divexact",
-    "TruncatedSeries",
-    "UnivariateRational",
     "substitute_line",
+    "format_line_image",
     "gf2_mul",
     "gf2_divmod",
     "gf2_gcd",
     "gf2_pow",
     "gf2_mul_one_plus_t_pow",
     "gf2_valuation",
-    "T_POWER_SERIES_DEFAULT_ORDER",
     "MAX_PARSED_EXPONENT",
 ]
 
-#: Default truncation order for symbolic line substitution: one past the
-#: first order at which the image of P can fail to be visible.
-T_POWER_SERIES_DEFAULT_ORDER = 6
-
 #: Largest exponent magnitude :meth:`LaurentPoly.parse` accepts.  Line
-#: substitution expands (1+t)^e as a dense F2[t] polynomial, at a cost that
-#: grows faster than linearly in e; at this limit one entry stays under a
-#: second.
+#: substitution writes (1+t)^e as a dense F2[t] polynomial of e + 1 bits,
+#: and the Smith form over F2[t] multiplies and divides such polynomials;
+#: at this limit a cleared line image has degree at most 6 * 4096, a few
+#: kilobytes, where an unbounded exponent could ask for gigabytes.
 MAX_PARSED_EXPONENT = 4096
 
 
@@ -291,24 +283,25 @@ def eval_at_ones(p: LaurentPoly) -> int:
     return len(p.terms) & 1
 
 
-def m_adic_order(p: LaurentPoly) -> int | float:
-    """Order of vanishing at (1, 1, 1): substitute T_i = 1 + eps_i.
+def leading_form(p: LaurentPoly) -> tuple[int | float, LaurentPoly]:
+    """Lowest-degree part of ``p`` at (1, 1, 1): substitute T_i = 1 + eps_i.
 
     The polynomial is first multiplied by a monomial to make every
-    exponent nonnegative (a unit of the local ring, so the order is
-    unchanged), then expanded in F2[eps1, eps2, eps3] with the mod-2
-    binomial theorem.  Returns the minimal total degree of a surviving
-    term, or ``math.inf`` for the zero polynomial.
+    exponent nonnegative (a unit of the local ring whose expansion starts
+    with 1, so the lowest-degree part is unchanged), then expanded in
+    F2[eps1, eps2, eps3] with the mod-2 binomial theorem.  Returns
+    ``(order, form)``: the minimal total degree of a surviving term and
+    the homogeneous part of that degree, with exponent triples read as
+    powers of the eps_i; ``(math.inf, ZERO)`` for the zero polynomial.
+    Along a line T_i = 1 + c_i t the image is ``form(c) * t^order`` plus
+    higher powers of t.
 
-    >>> m_adic_order(P)
-    4
-    >>> m_adic_order(ONE + T1)
-    1
-    >>> m_adic_order(ZERO)
-    inf
+    >>> order, form = leading_form(P)
+    >>> order, str(form)
+    (4, 'T1^2*T2^2 + T1^2*T3^2 + T2^2*T3^2')
     """
     if not p.terms:
-        return math.inf
+        return math.inf, ZERO
     lo, _ = p.exponent_range()
     shifted = p.shifted(-lo[0], -lo[1], -lo[2])
     acc: set[Triple] = set()
@@ -319,8 +312,22 @@ def m_adic_order(p: LaurentPoly) -> int | float:
                 for k3 in _submasks(a3):
                     acc ^= {(k1, k2, k3)}
     if not acc:
-        return math.inf
-    return min(k1 + k2 + k3 for (k1, k2, k3) in acc)
+        return math.inf, ZERO
+    order = min(k1 + k2 + k3 for (k1, k2, k3) in acc)
+    return order, LaurentPoly(t for t in acc if sum(t) == order)
+
+
+def m_adic_order(p: LaurentPoly) -> int | float:
+    """Order of vanishing at (1, 1, 1), the degree of :func:`leading_form`.
+
+    >>> m_adic_order(P)
+    4
+    >>> m_adic_order(ONE + T1)
+    1
+    >>> m_adic_order(ZERO)
+    inf
+    """
+    return leading_form(p)[0]
 
 
 def _submasks(a: int) -> Iterator[int]:
@@ -440,78 +447,6 @@ def gf2_valuation(a: int) -> int | float:
     return (a & -a).bit_length() - 1
 
 
-class UnivariateRational:
-    """An element of F2[t] localized at (t): num/den with den(0) != 0.
-
-    Numerator and denominator are bit-packed F2[t] polynomials.  The
-    t-adic valuation of the value is the valuation of the numerator.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if not den & 1:
-            raise ValueError("denominator must be a unit at t = 0")
-        self.num = num
-        self.den = den
-
-    def __add__(self, other: "UnivariateRational") -> "UnivariateRational":
-        if not isinstance(other, UnivariateRational):
-            return NotImplemented
-        return UnivariateRational(
-            gf2_mul(self.num, other.den) ^ gf2_mul(other.num, self.den),
-            gf2_mul(self.den, other.den),
-        )
-
-    def __mul__(self, other: "UnivariateRational") -> "UnivariateRational":
-        if not isinstance(other, UnivariateRational):
-            return NotImplemented
-        return UnivariateRational(
-            gf2_mul(self.num, other.num), gf2_mul(self.den, other.den)
-        )
-
-    def __truediv__(self, other: "UnivariateRational") -> "UnivariateRational":
-        if not isinstance(other, UnivariateRational):
-            return NotImplemented
-        if other.num == 0:
-            raise ZeroDivisionError
-        v = gf2_valuation(other.num)
-        num = gf2_mul(self.num, other.den)
-        den = gf2_mul(self.den, other.num >> v)
-        # A factor t^v in the divisor must be absorbed by the numerator,
-        # or the quotient leaves the local ring.
-        if v:
-            if gf2_valuation(num) < v:
-                raise ValueError("quotient has negative t-adic valuation")
-            num >>= v
-        return UnivariateRational(num, den)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UnivariateRational):
-            return NotImplemented
-        return gf2_mul(self.num, other.den) == gf2_mul(other.num, self.den)
-
-    def __hash__(self):  # pragma: no cover - unhashable by design
-        raise TypeError("UnivariateRational is not hashable (unreduced form)")
-
-    def __bool__(self) -> bool:
-        return self.num != 0
-
-    def valuation(self) -> int | float:
-        return gf2_valuation(self.num)
-
-    def __str__(self) -> str:
-        num = _format_gf2(self.num)
-        if self.den == 1:
-            return num
-        return f"({num}) / ({_format_gf2(self.den)})"
-
-    def __repr__(self) -> str:
-        return f"UnivariateRational({str(self)!r})"
-
-
 def _format_gf2(a: int) -> str:
     if a == 0:
         return "0"
@@ -525,160 +460,38 @@ def _format_gf2(a: int) -> str:
     return " + ".join(parts)
 
 
-class TruncatedSeries:
-    """Power series in t modulo t^(order+1), coefficients in F2[z1,z2,z3].
 
-    Coefficients are LaurentPoly values with nonnegative exponents (the
-    z-variables reuse the triple-exponent representation).
+
+def format_line_image(num: int, k: int) -> str:
+    """Render the line image ``num / (1+t)^k`` with the power expanded.
+
+    >>> format_line_image(0b10000, 2)
+    '(t^4) / (1 + t^2)'
     """
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: Iterable[LaurentPoly], order: int):
-        coeffs = list(coeffs)
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        if len(coeffs) != order + 1:
-            raise ValueError("need exactly order+1 coefficients")
-        self.coeffs = tuple(coeffs)
-        self.order = order
-
-    @staticmethod
-    def constant(c: LaurentPoly, order: int) -> "TruncatedSeries":
-        return TruncatedSeries([c] + [ZERO] * order, order)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        out = [ZERO] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(out, self.order)
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires unit constant term."""
-        if self.coeffs[0] != ONE:
-            raise ValueError("series with non-unit constant term is not invertible")
-        inv = [ONE] + [ZERO] * self.order
-        for k in range(1, self.order + 1):
-            # coefficient k of (self * inv) must vanish
-            acc = ZERO
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * inv[k - i]
-            inv[k] = acc  # constant term is 1, so no division needed
-        return TruncatedSeries(inv, self.order)
-
-    def __pow__(self, n: int) -> "TruncatedSeries":
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = TruncatedSeries.constant(ONE, self.order)
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.order))
-
-    def leading(self) -> tuple[int, LaurentPoly]:
-        """First nonzero coefficient as ``(t-exponent, coefficient)``.
-
-        Raises ValueError when every stored coefficient vanishes: the
-        truncation order is then too small to certify a nonzero leading
-        term.
-        """
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k, c
-        raise ValueError(
-            f"series vanishes to order {self.order}; "
-            "increase the truncation order to certify a leading term"
-        )
-
-    def _check_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError("mismatched truncation orders")
-
-    def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            zc = str(c).replace("T", "z")
-            parts.append(zc if k == 0 else f"({zc})*t^{k}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(t^{self.order + 1})"
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({str(self)!r})"
+    if k == 0:
+        return _format_gf2(num)
+    return f"({_format_gf2(num)}) / ({_format_gf2(gf2_mul_one_plus_t_pow(1, k))})"
 
 
-def substitute_line(
-    p: LaurentPoly,
-    direction: str | tuple[int, int, int] = "symbolic",
-    truncation_order: int = T_POWER_SERIES_DEFAULT_ORDER,
-) -> TruncatedSeries | UnivariateRational:
+def substitute_line(p: LaurentPoly, direction: Triple) -> tuple[int, int]:
     """Restrict to a line through (1,1,1): substitute T_i = 1 + c_i t.
 
-    With ``direction="symbolic"`` the c_i are the formal variables z_i
-    and the result is a :class:`TruncatedSeries` of the requested order.
-    With a concrete 0/1 tuple such as ``(1, 1, 1)`` or ``(1, 1, 0)`` the
-    substitution is exact and the result is a :class:`UnivariateRational`
-    (denominators are powers of 1 + t, hence units at t = 0).
+    ``direction`` is a 0/1 tuple such as ``(1, 1, 1)`` or ``(1, 1, 0)``.
+    The image is returned as ``(num, k)``, meaning ``num / (1+t)^k`` with
+    ``num`` a bit-packed F2[t] polynomial and ``k`` the least power that
+    clears every negative exponent.  ``(1+t)^k`` is a unit at t = 0, so
+    the t-adic valuation of the image is that of ``num``.
 
-    >>> substitute_line(P, (1, 1, 1)) == UnivariateRational(0b10000, 0b11)
+    >>> substitute_line(P, (1, 1, 1)) == (0b10000, 1)  # t^4 / (1+t)
     True
     """
-    if direction == "symbolic":
-        if truncation_order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        order = truncation_order
-        z = [LaurentPoly.monomial(1, 0, 0), LaurentPoly.monomial(0, 1, 0),
-             LaurentPoly.monomial(0, 0, 1)]
-        bases = [
-            TruncatedSeries([ONE, z[i]] + [ZERO] * (order - 1), order)
-            if order >= 1
-            else TruncatedSeries([ONE], order)
-            for i in range(3)
-        ]
-        total = TruncatedSeries.constant(ZERO, order)
-        for (e1, e2, e3) in p.terms:
-            term = TruncatedSeries.constant(ONE, order)
-            for base, e in zip(bases, (e1, e2, e3)):
-                if e:
-                    term = term * base**e
-            total = total + term
-        return total
-
     if (
         not isinstance(direction, tuple)
         or len(direction) != 3
         or any(c not in (0, 1) for c in direction)
     ):
         raise ValueError(
-            "direction must be 'symbolic' or a tuple of 0/1 entries "
-            "such as (1, 1, 1) or (1, 1, 0)"
+            "direction must be a tuple of 0/1 entries such as (1, 1, 1) or (1, 1, 0)"
         )
     # T_i with c_i = 1 maps to 1 + t, with c_i = 0 to 1; a monomial maps
     # to (1+t)^s with s the sum of the selected exponents.
@@ -686,9 +499,9 @@ def substitute_line(
         sum(e for e, c in zip(exps, direction) if c) for exps in p.terms
     ]
     if not sums:
-        return UnivariateRational(0, 1)
-    shift = max(0, -min(sums))
+        return 0, 0
+    k = max(0, -min(sums))
     num = 0
     for s in sums:
-        num ^= gf2_mul_one_plus_t_pow(1, s + shift)
-    return UnivariateRational(num, gf2_mul_one_plus_t_pow(1, shift))
+        num ^= gf2_mul_one_plus_t_pow(1, s + k)
+    return num, k

@@ -43,6 +43,7 @@ __all__ = [
     "is_even",
     "count_tait_backtracking",
     "count_tait_matching_formula",
+    "without_circles",
     "predict_planar_rank",
     "is_abstract_planar",
     "disjoint_union",
@@ -364,14 +365,29 @@ def count_tait_backtracking(web: Web) -> int:
     return factor * count()
 
 
+def without_circles(web: Web) -> Web:
+    """The web with its free circles removed (the web itself if it has none)."""
+    if not web.circles:
+        return web
+    edges = tuple(e for e in web.edges if e.kind != "circle")
+    return Web(web.name, web.vertices, edges, web.planar)
+
+
 def count_tait_matching_formula(web: Web) -> int:
-    """Tait-coloring count via even 1-sets: sum of 2^n(s)."""
+    """Tait-coloring count via even 1-sets: sum of 2^n(s).
+
+    A free circle is either in the 1-set or one more (even) complementary
+    circle, so it contributes 1 + 2 = 3: the sum runs over the 1-sets of
+    the circle-free web and is multiplied by 3^c for c circles, instead of
+    over 2^c times as many 1-sets.
+    """
+    core = without_circles(web)
     total = 0
-    for s in one_sets(web):
-        decomposition = complement_cycles(web, s)
+    for s in one_sets(core):
+        decomposition = complement_cycles(core, s)
         if all(len(c.vertices) % 2 == 0 for c in decomposition.components):
             total += 1 << decomposition.n
-    return total
+    return total * 3 ** len(web.circles)
 
 
 def is_abstract_planar(web: Web) -> bool:

@@ -48,6 +48,11 @@ def test_run_all_aggregates():
         acceptance.run_all(keys=["nope"])
 
 
+def test_empty_corpus_fails_the_tait_check(tmp_path):
+    failures, _ = acceptance.check_tait_formula(acceptance.CheckContext(tmp_path))
+    assert failures == [f"{tmp_path}: no *.json web in the corpus"]
+
+
 def test_run_all_hands_the_context_to_every_check(monkeypatch, tmp_path):
     seen = []
 

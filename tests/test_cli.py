@@ -22,6 +22,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv, limit_s=10):
+    """The CLI in a fresh interpreter, killed after ``limit_s`` seconds."""
+    src = str(Path(webfoam.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "webfoam.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=limit_s,
+    )
+
+
 class TestFoam:
     def test_theta_value(self, capsys):
         code, out, _ = run(capsys, "foam", "theta", "0", "1", "2")
@@ -177,6 +187,18 @@ class TestComplex:
         assert code == 0
         assert out.count("PASS") == 4
 
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            ((), "complex_certify_order4.txt"),
+            (("--json",), "complex_certify_order4.json"),
+        ],
+    )
+    def test_certify_order4_is_pinned(self, capsys, argv, golden):
+        code, out, _ = run(capsys, "complex", "certify-order4", *argv)
+        assert code == 0
+        assert out == (DATA / golden).read_text()
+
     def test_direction_validation(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "complex", "cone-p", "--direction", "2,1,1")
@@ -196,17 +218,65 @@ class TestComplex:
         path.write_text(
             '{"rank":2,"differential":[["0","T1^1073741823"],["0","0"]]}'
         )
-        src = str(Path(webfoam.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "webfoam.cli", "complex", "analyze", str(path),
-             "--direction", "1,1,1"],
-            capture_output=True, text=True, env=env, timeout=10,
-        )
+        proc = run_process("complex", "analyze", str(path), "--direction", "1,1,1")
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert "differential[0][1]" in proc.stderr
         assert "limit of 4096" in proc.stderr
+
+
+class TestAdversarialInputs:
+    """Small hostile files run in a fresh CLI process under a time limit."""
+
+    @staticmethod
+    def web_file(tmp_path, circles: int, base: str | None = None) -> str:
+        data = web_to_dict(corpus_web(base)) if base else {"vertices": [], "edges": []}
+        data["name"] = "hostile"
+        data["edges"] += [{"id": f"c{i}", "circle": True} for i in range(circles)]
+        path = tmp_path / "web.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["tait", "predict-rank"])
+    def test_forty_circles_count_exactly(self, tmp_path, command):
+        proc = run_process("web", command, self.web_file(tmp_path, 40))
+        assert (proc.returncode, proc.stdout) == (0, f"{3**40}\n")
+
+    def test_forty_circles_info(self, tmp_path):
+        proc = run_process("web", "info", self.web_file(tmp_path, 40), "--json")
+        assert proc.returncode == 0
+        data = json.loads(proc.stdout)
+        assert (data["circles"], data["one_sets"], data["even_one_sets"]) == (
+            40, 2**40, 2**40
+        )
+
+    def test_circles_beside_a_theta(self, tmp_path):
+        path = self.web_file(tmp_path, 30, base="theta")
+        proc = run_process("web", "tait", path)
+        assert (proc.returncode, proc.stdout) == (0, f"{6 * 3**30}\n")
+        proc = run_process("web", "info", path, "--json")
+        assert json.loads(proc.stdout)["even_one_sets"] == 3 * 2**30
+
+    def test_extreme_exponents_analyze_exactly(self, tmp_path):
+        # m + 1/m with m = (T1*T2*T3)^4096 maps to ((1+t)^24576 + 1) / (1+t)^12288
+        # along 1,1,1, of valuation 8192, and to t^16384 / (1+t)^8192 along 1,1,0
+        entry = "T1^4096*T2^4096*T3^4096 + T1^-4096*T2^-4096*T3^-4096"
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({"rank": 2, "differential": [["0", entry], ["0", "0"]]}))
+        proc = run_process("complex", "analyze", str(path))
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            "complex: extreme.json\nrank: 2\nfrac_rank: 0\nf2_dim: 2\n"
+            "direction 1,1,1: r=0 l=1 torsion={8192}\n"
+            "direction 1,1,0: r=0 l=1 torsion={16384}\n"
+        )
+
+    def test_huge_declared_rank_exit_code(self, tmp_path):
+        path = tmp_path / "rank.json"
+        path.write_text('{"rank": 1000000000, "differential": []}')
+        proc = run_process("complex", "analyze", str(path))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert "expected a list of 1000000000 rows" in proc.stderr
 
 
 class TestVerifyAll:
@@ -229,6 +299,12 @@ class TestVerifyAll:
         code, _, err = run(capsys, "verify-all", "--only", "bogus")
         assert code == 3
         assert "unknown check keys" in err
+
+    @pytest.mark.parametrize("as_json", [(), ("--json",)])
+    def test_empty_selection(self, capsys, as_json):
+        code, out, err = run(capsys, "verify-all", "--only", ",", *as_json)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: no check keys selected")
 
     def test_corpus_override(self, capsys, tmp_path):
         for name in ("theta", "unknot"):

@@ -5,8 +5,6 @@ import itertools
 import pytest
 
 from webfoam.foams import (
-    DottedSphere,
-    DottedTheta,
     THETA_BASIS_DOTS,
     eval_sphere,
     eval_theta,
@@ -57,10 +55,7 @@ class TestSphere:
         with pytest.raises(ValueError):
             eval_sphere(-1)
         with pytest.raises(ValueError):
-            DottedSphere(-2)
-
-    def test_dataclass_evaluates(self):
-        assert DottedSphere(4).evaluate() == P
+            eval_sphere(-2)
 
 
 class TestTheta:
@@ -106,10 +101,7 @@ class TestTheta:
         with pytest.raises(ValueError):
             eval_theta(0, -1, 2)
         with pytest.raises(ValueError):
-            DottedTheta((0, 1, -1))
-
-    def test_dataclass_evaluates(self):
-        assert DottedTheta((0, 1, 2)).evaluate() == ONE
+            eval_theta(0, 1, -1)
 
 
 class TestPairing:

@@ -14,16 +14,16 @@ from webfoam.laurent import (
     T1,
     T2,
     T3,
-    TruncatedSeries,
-    UnivariateRational,
     ZERO,
     eval_at_ones,
+    format_line_image,
     gf2_divmod,
     gf2_gcd,
     gf2_mul,
     gf2_mul_one_plus_t_pow,
     gf2_pow,
     gf2_valuation,
+    leading_form,
     m_adic_order,
     p_monomials,
     poly_divexact,
@@ -272,107 +272,88 @@ class TestUnivariate:
             a = rng.getrandbits(12)
             assert gf2_mul_one_plus_t_pow(a, s) == gf2_mul(a, power)
 
-    def test_rational_arithmetic(self):
-        # t/(1+t) + t = (t + t + t^2)/(1+t) = t^2/(1+t)
-        a = UnivariateRational(0b10, 0b11)
-        b = UnivariateRational(0b10, 1)
-        assert a + b == UnivariateRational(0b100, 0b11)
-        assert (a * b).valuation() == 2
-        assert (a / b) == UnivariateRational(1, 0b11)
 
-    def test_denominator_must_be_unit(self):
-        with pytest.raises(ValueError):
-            UnivariateRational(1, 0b10)
-        with pytest.raises(ZeroDivisionError):
-            UnivariateRational(1, 0)
-
-    def test_division_valuation_guard(self):
-        t = UnivariateRational(0b10, 1)
-        one = UnivariateRational(1, 1)
-        with pytest.raises(ValueError):
-            one / t
-        assert (t / t) == one
+def _clear(image: tuple[int, int], k: int) -> int:
+    """The numerator of a line image over the common denominator (1+t)^k."""
+    num, own = image
+    return gf2_mul_one_plus_t_pow(num, k - own)
 
 
 class TestSubstituteLine:
     def test_symbolic_leading_term_of_p(self):
-        series = substitute_line(P, "symbolic", truncation_order=5)
-        k, lead = series.leading()
-        assert k == 4
-        assert lead == LaurentPoly(
-            {(2, 2, 0), (2, 0, 2), (0, 2, 2)}
-        )
+        # T_i = 1 + z_i*t sends P to form(z) * t^4 + O(t^5)
+        assert leading_form(P) == (4, LaurentPoly({(2, 2, 0), (2, 0, 2), (0, 2, 2)}))
+        assert leading_form(ZERO) == (math.inf, ZERO)
 
     def test_line_111_is_t4_over_1_plus_t(self):
-        img = substitute_line(P, (1, 1, 1))
-        assert img == UnivariateRational(0b10000, 0b11)
-        assert img.valuation() == 4
+        num, k = substitute_line(P, (1, 1, 1))
+        assert (num, k) == (0b10000, 1)
+        assert gf2_valuation(num) == 4
+        assert format_line_image(num, k) == "(t^4) / (1 + t)"
 
     def test_line_110_is_t4_over_1_plus_t_squared(self):
-        img = substitute_line(P, (1, 1, 0))
-        assert img == UnivariateRational(0b10000, 0b101)
-        assert img.valuation() == 4
+        num, k = substitute_line(P, (1, 1, 0))
+        assert (num, k) == (0b10000, 2)
+        assert format_line_image(num, k) == "(t^4) / (1 + t^2)"
 
     def test_zero_maps_to_zero(self):
-        assert substitute_line(ZERO, (1, 1, 1)) == UnivariateRational(0, 1)
+        assert substitute_line(ZERO, (1, 1, 1)) == (0, 0)
+        assert format_line_image(0, 0) == "0"
+
+    def test_denominator_is_the_least_clearing_power(self):
+        assert substitute_line(ONE, (1, 1, 1)) == (1, 0)
+        assert substitute_line(T1 * T3, (1, 1, 0)) == (0b11, 0)
+        assert substitute_line(T2.inverse_monomial() ** 2, (1, 1, 1)) == (1, 2)
 
     def test_rejects_unknown_directions(self):
-        with pytest.raises(ValueError):
-            substitute_line(P, (1, 2, 1))
-        with pytest.raises(ValueError):
-            substitute_line(P, "symbolic", truncation_order=-1)
-
-    def test_leading_term_needs_enough_order(self):
-        series = substitute_line(P, "symbolic", truncation_order=3)
-        with pytest.raises(ValueError, match="truncation order"):
-            series.leading()
+        for direction in ((1, 2, 1), (1, 1), "symbolic", [1, 1, 1]):
+            with pytest.raises(ValueError):
+                substitute_line(P, direction)
 
     @given(polys)
     def test_valuation_dominates_m_adic_order(self, p):
-        img = substitute_line(p, (1, 1, 1))
-        assert img.valuation() >= m_adic_order(p)
+        num, _ = substitute_line(p, (1, 1, 1))
+        assert gf2_valuation(num) >= m_adic_order(p)
 
     @given(polys)
     def test_valuation_meets_order_when_leading_form_survives(self, p):
         # the concrete valuation equals the order of vanishing exactly when
-        # the symbolic leading form does not die at z = (1, 1, 1)
-        order = m_adic_order(p)
+        # the leading form does not die at z = (1, 1, 1)
+        order, lead = leading_form(p)
         if order is math.inf:
             return
-        lead = substitute_line(p, "symbolic", truncation_order=20).leading()[1]
+        valuation = gf2_valuation(substitute_line(p, (1, 1, 1))[0])
         if eval_at_ones(lead):
-            assert substitute_line(p, (1, 1, 1)).valuation() == order
+            assert valuation == order
         else:
-            assert substitute_line(p, (1, 1, 1)).valuation() > order
+            assert valuation > order
 
-    @given(polys)
-    def test_symbolic_leading_order_is_the_m_adic_order(self, p):
-        # the symbolic image collects the degree-k expansion forms as the
-        # t^k coefficients, so its leading order is exactly the order of
-        # vanishing at (1,1,1); two independent code paths must agree
-        series = substitute_line(p, "symbolic", truncation_order=20)
-        order = m_adic_order(p)
-        if order is math.inf:
-            with pytest.raises(ValueError):
-                series.leading()
-        else:
-            assert series.leading()[0] == order
+    def test_symbolic_leading_order_is_the_m_adic_order(self):
+        # sympy oracle: expand p(1+e1, 1+e2, 1+e3), shifted to nonnegative
+        # exponents, in GF(2)[e1, e2, e3] and keep its lowest-degree part
+        sympy = pytest.importorskip("sympy")
+        ring, e1, e2, e3 = sympy.polys.rings.ring("e1,e2,e3", sympy.GF(2))
+        rng = random.Random(20240)
+        cases = [P, P * (ONE + T1), (P + ONE) ** 3, ONE + T1 * T2 * T3]
+        cases += [_random_laurent(rng, 6, 3) for _ in range(200)]
+        for p in cases:
+            lo = _low_corner(p)
+            expansion = ring.zero
+            for (a1, a2, a3) in p.terms:
+                expansion += (
+                    (1 + e1) ** (a1 - lo[0])
+                    * (1 + e2) ** (a2 - lo[1])
+                    * (1 + e3) ** (a3 - lo[2])
+                )
+            order = min(sum(m) for m in expansion.keys())
+            form = LaurentPoly(m for m in expansion.keys() if sum(m) == order)
+            assert leading_form(p) == (order, form)
+            assert m_adic_order(p) == order
 
     @given(polys)
     def test_substitution_is_additive(self, p):
-        img_sum = substitute_line(p + P, (1, 1, 0))
-        assert img_sum == substitute_line(p, (1, 1, 0)) + substitute_line(
-            P, (1, 1, 0)
-        )
-
-    def test_series_inverse(self):
-        base = substitute_line(T1, "symbolic", truncation_order=4)
-        inv = base.inverse()
-        assert base * inv == TruncatedSeries.constant(ONE, 4)
-        with pytest.raises(ValueError):
-            substitute_line(T1 + T2, "symbolic").inverse()
-
-    def test_series_power_matches_repeated_product(self):
-        base = substitute_line(T1 * T2, "symbolic", truncation_order=4)
-        assert base**3 == base * base * base
-        assert base**-1 == base.inverse()
+        direction = (1, 1, 0)
+        images = [substitute_line(x, direction) for x in (p + P, p, P)]
+        k = max(own for _, own in images)
+        total, a, b = (_clear(image, k) for image in images)
+        assert total == a ^ b
