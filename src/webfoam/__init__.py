@@ -37,9 +37,7 @@ from .laurent import (
 from .linalg import fraction_rank
 from .foams import eval_sphere, eval_theta, pairing_matrix
 from .webs import (
-    CycleDecomposition,
     Edge,
-    EdgeSubset,
     Web,
     complement_cycles,
     corpus_names,
@@ -96,8 +94,6 @@ __all__ = [
     "pairing_matrix",
     "Web",
     "Edge",
-    "EdgeSubset",
-    "CycleDecomposition",
     "one_sets",
     "complement_cycles",
     "is_even",

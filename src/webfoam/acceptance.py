@@ -260,10 +260,11 @@ def check_handcuffs_pair(ctx: CheckContext) -> Outcome:
         }
         _fail(
             problems,
-            s.edges == frozenset(connecting),
+            s == frozenset(connecting),
             "the unique 1-set is not the connecting edge",
         )
-        _fail(problems, not s.is_even(), "the unique 1-set should be odd")
+        odd = not webs.is_even(webs.complement_cycles(web, s))
+        _fail(problems, odd, "the unique 1-set should be odd")
     predicted = webs.count_tait_matching_formula(web)
     _fail(problems, predicted == 0, f"predicted rank {predicted} != 0")
 

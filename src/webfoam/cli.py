@@ -198,18 +198,21 @@ def _web_summary(web: webs.Web) -> dict:
     kinds = {"edge": 0, "loop": 0, "circle": 0}
     for e in web.edges:
         kinds[e.kind] += 1
-    # each 1-set of the circle-free web extends by any subset of circles,
-    # and circles have no vertices, so evenness is unchanged
-    sets = webs.one_sets(webs.without_circles(web))
-    even = sum(1 for s in sets if s.is_even())
+    # a 1-set of the web is one 1-set of each component plus any subset of
+    # the circles, and circles have no vertices, so evenness is unchanged
+    ones = even = 1 << kinds["circle"]
+    for part in webs.components(web):
+        sets = webs.one_sets(part)
+        ones *= len(sets)
+        even *= sum(webs.is_even(webs.complement_cycles(part, s)) for s in sets)
     return {
         "name": web.name,
         "vertices": len(web.vertices),
         "edges": kinds["edge"],
         "loops": kinds["loop"],
         "circles": kinds["circle"],
-        "one_sets": len(sets) << kinds["circle"],
-        "even_one_sets": even << kinds["circle"],
+        "one_sets": ones,
+        "even_one_sets": even,
         "declared_planar": web.planar,
         "abstract_planar": webs.is_abstract_planar(web),
     }
@@ -217,6 +220,9 @@ def _web_summary(web: webs.Web) -> dict:
 
 def _cmd_web(args: argparse.Namespace) -> int:
     web = _resolve_web(args.web).validate()
+    # exact counts have about 0.5 digits per edge, so lift the int-to-string
+    # limit for the output; the input was parsed under it (main restores it)
+    sys.set_int_max_str_digits(0)
     if args.web_command == "info":
         summary = _web_summary(web)
         if args.json:
@@ -426,6 +432,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    digit_limit = sys.get_int_max_str_digits()
     try:
         if args.command == "foam":
             return _cmd_foam(args)
@@ -445,6 +452,8 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

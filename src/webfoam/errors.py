@@ -2,6 +2,7 @@
 that raises them."""
 
 import json
+import sys
 from pathlib import Path
 
 
@@ -29,7 +30,9 @@ def _read_json(path: Path) -> object:
     """Decoded contents of a JSON file.
 
     An unreadable file or invalid JSON raises :class:`InputError` naming
-    the path (and, for invalid JSON, the line and column).
+    the path (and, for invalid JSON, the line and column).  So do arrays
+    and objects nested past the recursion limit and integer literals past
+    the interpreter's int-to-string digit limit.
     """
     try:
         text = path.read_text()
@@ -41,3 +44,8 @@ def _read_json(path: Path) -> object:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"{path}: integer literal longer than {limit} digits") from exc

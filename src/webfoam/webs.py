@@ -8,11 +8,14 @@ valid.
 
 The module provides
 
-* 1-set (perfect matching) enumeration, complementary cycle
-  decompositions and the evenness test;
+* 1-set (perfect matching) enumeration on the vertex part, as frozensets
+  of edge ids; the vertex counts of the complementary cycles of a 1-set;
+  and one evenness test on those counts (every cycle even);
 * two independent Tait-coloring counters: direct backtracking over edge
-  colorings, and the matching-formula count ``sum over even 1-sets s of
-  2^n(s)`` where ``n(s)`` is the number of complementary cycles;
+  colorings in an edge order fixed before the search, and the
+  matching-formula count ``sum over even 1-sets s of 2^n(s)`` where
+  ``n(s)`` is the number of complementary cycles.  Both count each
+  connected component alone and multiply, with a factor 3 per circle;
 * the planar rank prediction (the matching-formula count, which is a
   theorem only for planar webs -- non-planar inputs get a warning);
 * a JSON file format and the shipped corpus of named webs;
@@ -23,8 +26,8 @@ The module provides
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -35,15 +38,12 @@ from .errors import InputError, ValidationError, _read_json
 __all__ = [
     "Edge",
     "Web",
-    "EdgeSubset",
-    "CycleComponent",
-    "CycleDecomposition",
     "one_sets",
+    "components",
     "complement_cycles",
     "is_even",
     "count_tait_backtracking",
     "count_tait_matching_formula",
-    "without_circles",
     "predict_planar_rank",
     "is_abstract_planar",
     "disjoint_union",
@@ -90,9 +90,9 @@ class Web:
     planar: bool | None = None
 
     def __post_init__(self):
-        ids = [e.id for e in self.edges]
-        if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
+        ids = Counter(e.id for e in self.edges)
+        if len(ids) != len(self.edges):
+            dup = sorted(i for i, n in ids.items() if n > 1)
             raise ValidationError(f"duplicate edge ids: {', '.join(dup)}")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValidationError("duplicate vertex names")
@@ -133,66 +133,14 @@ class Web:
     def loops(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.kind == "loop")
 
-    def subset(self, edge_ids: Iterable[str]) -> "EdgeSubset":
-        return EdgeSubset(self, frozenset(edge_ids))
 
+def one_sets(web: Web) -> list[frozenset[str]]:
+    """All 1-sets of the vertex part: exactly one incident member at each vertex.
 
-@dataclass(frozen=True)
-class EdgeSubset:
-    """A subset of the edges of a web; classification is always recomputed."""
-
-    web: Web
-    edges: frozenset[str]
-
-    def __post_init__(self):
-        known = {e.id for e in self.web.edges}
-        stray = self.edges - known
-        if stray:
-            raise ValidationError(f"unknown edge ids: {sorted(stray)}")
-
-    def complement(self) -> frozenset[str]:
-        return frozenset(e.id for e in self.web.edges) - self.edges
-
-    def _incidence_count(self, edge_ids: frozenset[str]) -> dict[str, int]:
-        count = {v: 0 for v in self.web.vertices}
-        for e in self.web.edges:
-            if e.id in edge_ids:
-                for v in e.incidences():
-                    count[v] += 1
-        return count
-
-    def is_one_set(self) -> bool:
-        return all(c == 1 for c in self._incidence_count(self.edges).values())
-
-    def is_two_set(self) -> bool:
-        return all(c == 2 for c in self._incidence_count(self.edges).values())
-
-    def is_even(self) -> bool:
-        return is_even(self.web, self)
-
-
-@dataclass(frozen=True)
-class CycleComponent:
-    vertices: tuple[str, ...]
-    edge_ids: tuple[str, ...]
-    is_circle: bool
-
-
-@dataclass(frozen=True)
-class CycleDecomposition:
-    components: tuple[CycleComponent, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
-
-def one_sets(web: Web) -> list[EdgeSubset]:
-    """All 1-sets: exactly one incident member at each vertex, by multiplicity.
-
-    A loop contributes 2 at its vertex, so loops never occur in a 1-set.
-    Free circles are unconstrained, so each matching of the vertex part
-    spawns one subset per subset of circles.
+    Incidences count with multiplicity: a loop contributes 2 at its
+    vertex, so loops never occur in a 1-set.  Free circles never appear
+    either; a caller counting 1-sets of the whole web doubles the count
+    for each circle.
     """
     web.validate()
     regular = [e for e in web.edges if e.kind == "edge"]
@@ -227,90 +175,79 @@ def one_sets(web: Web) -> list[EdgeSubset]:
             covered.difference_update(e.ends)
 
     extend()
-
-    circles = [e.id for e in web.circles]
-    subsets = []
-    for matching in matchings:
-        for k in range(len(circles) + 1):
-            for extra in itertools.combinations(circles, k):
-                subsets.append(EdgeSubset(web, matching | frozenset(extra)))
-    return subsets
+    return matchings
 
 
-def _half_edges(e: Edge) -> list[tuple[str, int]]:
-    """(vertex, slot) incidences of a non-circle edge; loops give two slots."""
-    if e.kind == "loop":
-        return [(e.ends[0], 0), (e.ends[0], 1)]
-    return [(e.ends[0], 0), (e.ends[1], 1)]
+def _roots(vertices: Iterable[str], edges: Iterable[Edge]) -> dict[str, str]:
+    """Union-find: each vertex mapped to a representative of its component.
 
-
-def complement_cycles(web: Web, s: EdgeSubset | frozenset) -> CycleDecomposition:
-    """Decompose the complement of a 1-set into cycles and free circles.
-
-    The complement is a 2-set: every vertex has exactly two incident
-    complement edges (a loop counting twice), so the complement edges
-    with endpoints form disjoint closed walks covering every vertex.
+    Groups merge smaller into larger, so a vertex changes group at most
+    log2(n) times.
     """
-    if not isinstance(s, EdgeSubset):
-        s = EdgeSubset(web, frozenset(s))
-    if not s.is_one_set():
+    group = {v: [v] for v in vertices}
+    for e in edges:
+        if len(e.ends) == 2:
+            a, b = group[e.ends[0]], group[e.ends[1]]
+            if a is not b:
+                if len(a) < len(b):
+                    a, b = b, a
+                a += b
+                for v in b:
+                    group[v] = a
+    return {v: g[0] for v, g in group.items()}
+
+
+def components(web: Web) -> list[Web]:
+    """The connected components of the vertex part, as circle-free webs.
+
+    Tait colorings, 1-sets and even 1-sets of a web are those of its
+    components chosen independently, so their counts multiply.
+    """
+    root = _roots(web.vertices, web.edges)
+    parts: dict[str, tuple[list[str], list[Edge]]] = {}
+    for v in web.vertices:
+        parts.setdefault(root[v], ([], []))[0].append(v)
+    for e in web.edges:
+        if e.ends:
+            parts[root[e.ends[0]]][1].append(e)
+    if len(parts) == 1 and not web.circles:
+        return [web]
+    return [
+        Web(web.name, tuple(vs), tuple(es), web.planar) for vs, es in parts.values()
+    ]
+
+
+def complement_cycles(web: Web, s: Iterable[str]) -> list[int]:
+    """Vertex counts of the complementary cycles of the 1-set ``s``.
+
+    Every vertex of a trivalent web meets exactly two complement
+    incidences (a loop counting twice), so each connected component of
+    the complement is one cycle.  Free circles are left out.
+    """
+    s = frozenset(s)
+    hits = dict.fromkeys(web.vertices, 0)
+    known = 0
+    for e in web.edges:
+        if e.id in s:
+            known += 1
+            for v in e.incidences():
+                hits[v] += 1
+    if known != len(s):
+        stray = s - {e.id for e in web.edges}
+        raise ValidationError(f"unknown edge ids: {sorted(stray)}")
+    if any(h != 1 for h in hits.values()):
         raise ValidationError("edge subset is not a 1-set")
-    comp_ids = s.complement()
-    comp_edges = [e for e in web.edges if e.id in comp_ids]
-
-    components: list[CycleComponent] = []
-    for e in comp_edges:
-        if e.kind == "circle":
-            components.append(CycleComponent((), (e.id,), True))
-
-    at_vertex: dict[str, list[tuple[str, int]]] = {v: [] for v in web.vertices}
-    partner: dict[tuple[str, int], tuple[str, int]] = {}
-    by_id = {e.id: e for e in comp_edges}
-    for e in comp_edges:
-        if e.kind == "circle":
-            continue
-        (v0, s0), (v1, s1) = _half_edges(e)
-        at_vertex[v0].append((e.id, s0))
-        at_vertex[v1].append((e.id, s1))
-        partner[(e.id, s0)] = (e.id, s1)
-        partner[(e.id, s1)] = (e.id, s0)
-
-    visited: set[tuple[str, int]] = set()
-    for v_start in web.vertices:
-        for h_start in at_vertex[v_start]:
-            if h_start in visited:
-                continue
-            verts: list[str] = []
-            eids: list[str] = []
-            h = h_start
-            v = v_start
-            while True:
-                # cross the edge from half-edge h ...
-                visited.add(h)
-                eids.append(h[0])
-                h2 = partner[h]
-                visited.add(h2)
-                e = by_id[h2[0]]
-                v = e.ends[0] if e.kind == "loop" else e.ends[h2[1]]
-                verts.append(v)
-                # ... then leave v through its other incidence
-                a, b = at_vertex[v]
-                h = b if a == h2 else a
-                if h == h_start:
-                    break
-            components.append(CycleComponent(tuple(verts), tuple(eids), False))
-    return CycleDecomposition(tuple(components))
+    root = _roots(web.vertices, (e for e in web.edges if e.id not in s))
+    return list(Counter(root.values()).values())
 
 
-def is_even(web: Web, s: EdgeSubset | frozenset) -> bool:
-    """True when every complementary cycle carries an even number of s-endpoints.
+def is_even(cycles: Iterable[int]) -> bool:
+    """True when every complementary cycle has an even number of vertices.
 
-    Each vertex lies on exactly one complementary cycle and carries
-    exactly one s-incidence, so the endpoint count on a cycle is its
-    vertex count.
+    Each vertex carries exactly one incidence of the 1-set, so a cycle's
+    vertex count is the number of 1-set endpoints on it.
     """
-    decomposition = complement_cycles(web, s)
-    return all(len(c.vertices) % 2 == 0 for c in decomposition.components)
+    return all(n % 2 == 0 for n in cycles)
 
 
 def count_tait_backtracking(web: Web) -> int:
@@ -318,76 +255,62 @@ def count_tait_backtracking(web: Web) -> int:
 
     Loops make their vertex uncolorable (two incidences share a color);
     free circles are unconstrained and contribute a factor of 3 each.
+    Each component is searched alone and the counts multiply.
     """
     web.validate()
     if web.loops:
         return 0
-    regular = [e for e in web.edges if e.kind == "edge"]
-    factor = 3 ** len(web.circles)
-    if not regular:
-        return factor
+    total = 3 ** len(web.circles)
+    for part in components(web):
+        total *= _count_colorings(part.edges)
+    return total
 
-    incident: dict[str, list[int]] = {v: [] for v in web.vertices}
-    for idx, e in enumerate(regular):
+
+def _count_colorings(edges: tuple[Edge, ...]) -> int:
+    """Proper 3-edge-colorings of a loopless set of edges, by backtracking.
+
+    The edge order is fixed before the search: the next edge is the one
+    that meets the most edges already ordered, counting both ends.
+    ``earlier[i]`` holds the positions of those edges for position ``i``.
+    """
+    rest = list(edges)
+    at: dict[str, list[int]] = {}  # vertex -> positions of its ordered edges
+    earlier: list[list[int]] = []
+    while rest:
+        e = max(rest, key=lambda f: sum(len(at.get(v, ())) for v in f.ends))
+        rest.remove(e)
+        earlier.append([j for v in e.ends for j in at.get(v, ())])
         for v in e.ends:
-            incident[v].append(idx)
-    color: dict[int, int] = {}
+            at.setdefault(v, []).append(len(earlier) - 1)
+    color = [0] * len(earlier)
 
-    def allowed(idx: int) -> list[int]:
-        used = set()
-        for v in regular[idx].ends:
-            for other in incident[v]:
-                if other in color:
-                    used.add(color[other])
-        return [c for c in (0, 1, 2) if c not in used]
-
-    def count() -> int:
-        uncolored = [i for i in range(len(regular)) if i not in color]
-        if not uncolored:
+    def count(i: int) -> int:
+        if i == len(earlier):
             return 1
-        # most-constrained edge first
-        idx = max(
-            uncolored,
-            key=lambda i: sum(
-                1
-                for v in regular[i].ends
-                for other in incident[v]
-                if other in color
-            ),
-        )
+        used = {color[j] for j in earlier[i]}
         total = 0
-        for c in allowed(idx):
-            color[idx] = c
-            total += count()
-            del color[idx]
+        for c in (0, 1, 2):
+            if c not in used:
+                color[i] = c
+                total += count(i + 1)
         return total
 
-    return factor * count()
-
-
-def without_circles(web: Web) -> Web:
-    """The web with its free circles removed (the web itself if it has none)."""
-    if not web.circles:
-        return web
-    edges = tuple(e for e in web.edges if e.kind != "circle")
-    return Web(web.name, web.vertices, edges, web.planar)
+    return count(0)
 
 
 def count_tait_matching_formula(web: Web) -> int:
-    """Tait-coloring count via even 1-sets: sum of 2^n(s).
+    """Tait-coloring count via even 1-sets: sum of 2^n(s), per component.
 
-    A free circle is either in the 1-set or one more (even) complementary
-    circle, so it contributes 1 + 2 = 3: the sum runs over the 1-sets of
-    the circle-free web and is multiplied by 3^c for c circles, instead of
-    over 2^c times as many 1-sets.
+    A 1-set of the web is one 1-set of each component, plus any subset of
+    the free circles.  A circle is either in the 1-set or one more (even)
+    complementary circle, so it contributes a factor 1 + 2 = 3, and the
+    sums over the components' 1-sets multiply.
     """
-    core = without_circles(web)
-    total = 0
-    for s in one_sets(core):
-        decomposition = complement_cycles(core, s)
-        if all(len(c.vertices) % 2 == 0 for c in decomposition.components):
-            total += 1 << decomposition.n
-    return total * 3 ** len(web.circles)
+    total = 3 ** len(web.circles)
+    for part in components(web):
+        cycle_counts = (complement_cycles(part, s) for s in one_sets(part))
+        total *= sum(1 << len(c) for c in cycle_counts if is_even(c))
+    return total
 
 
 def is_abstract_planar(web: Web) -> bool:

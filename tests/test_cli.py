@@ -257,6 +257,50 @@ class TestAdversarialInputs:
         proc = run_process("web", "info", path, "--json")
         assert json.loads(proc.stdout)["even_one_sets"] == 3 * 2**30
 
+    def test_nine_thousand_circles_print_exactly(self, tmp_path):
+        # 3^9100 has more digits than the default int-to-string limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"{3**9100}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        proc = run_process("web", "tait", self.web_file(tmp_path, 9100))
+        assert (proc.returncode, proc.stdout) == (0, expected)
+
+    def test_twelve_thetas_count_per_component(self, tmp_path):
+        theta = web_to_dict(corpus_web("theta"))
+        data = {"name": "thetas", "vertices": [], "edges": []}
+        for k in range(12):
+            data["vertices"] += [f"{v}{k}" for v in theta["vertices"]]
+            data["edges"] += [
+                {"id": f"{e['id']}_{k}", "ends": [f"{v}{k}" for v in e["ends"]]}
+                for e in theta["edges"]
+            ]
+        path = tmp_path / "thetas.json"
+        path.write_text(json.dumps(data))
+        proc = run_process("web", "tait", str(path))
+        assert (proc.returncode, proc.stdout) == (0, f"{6**12}\n")
+        proc = run_process("web", "info", str(path), "--json")
+        data = json.loads(proc.stdout)
+        assert (data["one_sets"], data["even_one_sets"]) == (3**12, 3**12)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[" * 6000, "JSON nested too deeply"),
+         ('{"rank": ' + "9" * 5000 + "}", "integer literal longer than 4300 digits")],
+        ids=["deep-nesting", "long-integer"],
+    )
+    @pytest.mark.parametrize(
+        "command", [("web", "info"), ("complex", "analyze")], ids=" ".join
+    )
+    def test_hostile_json_exit_code(self, tmp_path, text, message, command):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        proc = run_process(*command, str(path))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"error: {path}: {message}\n"
+
     def test_extreme_exponents_analyze_exactly(self, tmp_path):
         # m + 1/m with m = (T1*T2*T3)^4096 maps to ((1+t)^24576 + 1) / (1+t)^12288
         # along 1,1,1, of valuation 8192, and to t^16384 / (1+t)^8192 along 1,1,0

@@ -10,7 +10,6 @@ from webfoam.errors import InputError, ValidationError
 from webfoam import webs
 from webfoam.webs import (
     Edge,
-    EdgeSubset,
     NonPlanarPredictionWarning,
     Web,
     complement_cycles,
@@ -62,8 +61,11 @@ class TestValidation:
             bad.validate()
 
     def test_duplicate_edge_ids_rejected(self):
-        with pytest.raises(ValidationError, match="duplicate edge ids"):
+        with pytest.raises(ValidationError, match="duplicate edge ids: e$"):
             Web("bad", ("a", "b"), (Edge("e", ("a", "b")), Edge("e", ("a", "b"))))
+        edges = [Edge(i, ()) for i in ("z", "a", "z", "m", "a", "z")]
+        with pytest.raises(ValidationError, match="duplicate edge ids: a, z$"):
+            Web("bad", (), tuple(edges))
 
     def test_regular_edge_needs_distinct_ends(self):
         with pytest.raises(ValidationError, match="loop form"):
@@ -74,108 +76,118 @@ class TestValidation:
             Web("bad", ("a",), (Edge("e", ("a", "z")),))
 
 
+def incidence_counts(web: Web, edge_ids) -> dict[str, int]:
+    """Incidences of the given edges at each vertex, a loop counting twice."""
+    count = {v: 0 for v in web.vertices}
+    for e in web.edges:
+        if e.id in edge_ids:
+            for v in e.incidences():
+                count[v] += 1
+    return count
+
+
 def brute_force_one_sets(web: Web) -> set[frozenset]:
-    """Oracle: filter all edge subsets by the multiplicity-1 condition."""
-    ids = [e.id for e in web.edges]
+    """Oracle: filter all edge subsets of the vertex part by multiplicity 1."""
+    ids = [e.id for e in web.edges if e.kind != "circle"]
     found = set()
     for k in range(len(ids) + 1):
         for combo in itertools.combinations(ids, k):
-            s = EdgeSubset(web, frozenset(combo))
-            if s.is_one_set():
-                found.add(s.edges)
+            if all(c == 1 for c in incidence_counts(web, combo).values()):
+                found.add(frozenset(combo))
     return found
 
 
 class TestOneSets:
-    def test_unknot_has_both(self):
-        got = {s.edges for s in one_sets(UNKNOT)}
-        assert got == {frozenset(), frozenset({"e"})}
+    def test_unknot_has_only_the_empty_set(self):
+        assert one_sets(UNKNOT) == [frozenset()]
 
     def test_theta_singletons(self):
-        got = {s.edges for s in one_sets(THETA)}
+        got = set(one_sets(THETA))
         assert got == {frozenset({"e1"}), frozenset({"e2"}), frozenset({"e3"})}
 
     def test_handcuffs_unique(self):
-        got = [s.edges for s in one_sets(HANDCUFFS)]
-        assert got == [frozenset({"c"})]
+        assert one_sets(HANDCUFFS) == [frozenset({"c"})]
 
     def test_matches_brute_force_on_corpus(self):
         for name in ("theta", "handcuffs", "k4", "two_theta", "unknot"):
             web = corpus_web(name)
-            assert {s.edges for s in one_sets(web)} == brute_force_one_sets(web)
+            assert set(one_sets(web)) == brute_force_one_sets(web)
 
     def test_matches_brute_force_on_generated(self):
         for web in generate_connected_cubic(6):
-            assert {s.edges for s in one_sets(web)} == brute_force_one_sets(web)
+            assert set(one_sets(web)) == brute_force_one_sets(web)
 
     def test_loops_never_in_one_sets(self):
         for n in (2, 4, 6):
             for web in generate_connected_cubic(n):
                 loop_ids = {e.id for e in web.loops}
                 for s in one_sets(web):
-                    assert not (s.edges & loop_ids)
+                    assert not (s & loop_ids)
 
-    def test_circles_double_the_count(self):
-        doubled = disjoint_union(THETA, UNKNOT)
-        assert len(one_sets(doubled)) == 2 * len(one_sets(THETA))
+    def test_circles_never_appear(self):
+        with_circle = disjoint_union(THETA, UNKNOT)
+        got = one_sets(with_circle)
+        assert sorted(map(sorted, got)) == [["0:e1"], ["0:e2"], ["0:e3"]]
 
     def test_complement_is_two_set(self):
         for web in generate_connected_cubic(6):
             for s in one_sets(web):
-                assert EdgeSubset(web, s.complement()).is_two_set()
+                complement = {e.id for e in web.edges} - s
+                assert set(incidence_counts(web, complement).values()) == {2}
+
+
+def complement_graph(web: Web, s: frozenset) -> nx.MultiGraph:
+    """The complement of ``s`` in the vertex part, as a networkx multigraph."""
+    g = nx.MultiGraph()
+    g.add_nodes_from(web.vertices)
+    g.add_edges_from(e.incidences() for e in web.edges if e.ends and e.id not in s)
+    return g
 
 
 class TestComplementCycles:
     def test_theta_single_two_cycle(self):
-        dec = complement_cycles(THETA, frozenset({"e1"}))
-        assert dec.n == 1
-        (comp,) = dec.components
-        assert sorted(comp.vertices) == ["a", "b"]
-        assert sorted(comp.edge_ids) == ["e2", "e3"]
-        assert not comp.is_circle
+        assert complement_cycles(THETA, frozenset({"e1"})) == [2]
 
     def test_unknot_cases(self):
-        dec = complement_cycles(UNKNOT, frozenset())
-        assert dec.n == 1 and dec.components[0].is_circle
-        dec = complement_cycles(UNKNOT, frozenset({"e"}))
-        assert dec.n == 0
+        assert complement_cycles(UNKNOT, frozenset()) == []
+        assert complement_cycles(UNKNOT, frozenset({"e"})) == []
 
     def test_handcuffs_loop_cycles(self):
-        dec = complement_cycles(HANDCUFFS, frozenset({"c"}))
-        assert dec.n == 2
-        assert all(len(c.vertices) == 1 for c in dec.components)
+        assert complement_cycles(HANDCUFFS, frozenset({"c"})) == [1, 1]
 
     def test_rejects_non_one_sets(self):
         with pytest.raises(ValidationError, match="not a 1-set"):
             complement_cycles(THETA, frozenset({"e1", "e2"}))
+        with pytest.raises(ValidationError, match=r"unknown edge ids: \['x'\]"):
+            complement_cycles(THETA, frozenset({"e1", "x"}))
 
     def test_components_partition_complement(self):
         for web in generate_connected_cubic(8)[::7]:
             for s in one_sets(web):
-                dec = complement_cycles(web, s)
-                edge_ids = [eid for c in dec.components for eid in c.edge_ids]
-                assert sorted(edge_ids) == sorted(s.complement())
-                verts = [v for c in dec.components for v in c.vertices]
-                assert sorted(verts) == sorted(web.vertices)
+                g = complement_graph(web, s)
+                sizes = sorted(len(c) for c in nx.connected_components(g))
+                assert sorted(complement_cycles(web, s)) == sizes
 
 
 class TestEvenness:
     def test_theta_even(self):
-        assert is_even(THETA, frozenset({"e1"}))
+        assert is_even(complement_cycles(THETA, frozenset({"e1"})))
 
     def test_handcuffs_odd(self):
-        assert not is_even(HANDCUFFS, frozenset({"c"}))
+        assert not is_even(complement_cycles(HANDCUFFS, frozenset({"c"})))
 
     def test_unknot_empty_even(self):
-        assert is_even(UNKNOT, frozenset())
-        assert is_even(UNKNOT, frozenset({"e"}))
+        assert is_even(complement_cycles(UNKNOT, frozenset()))
+        assert is_even([])
 
     def test_matches_vertex_parity(self):
+        # even means an even number of s-endpoints on every complementary cycle
         for web in generate_connected_cubic(6):
             for s in one_sets(web):
-                dec = complement_cycles(web, s)
-                expected = all(len(c.vertices) % 2 == 0 for c in dec.components)
-                assert is_even(web, s) == expected
+                ends = incidence_counts(web, s)
+                cycles = nx.connected_components(complement_graph(web, s))
+                expected = all(sum(ends[v] for v in c) % 2 == 0 for c in cycles)
+                assert is_even(complement_cycles(web, s)) == expected
 
 
 CORPUS_COUNTS = {
@@ -222,6 +234,16 @@ class TestTaitCounts:
             union = disjoint_union(a, b)
             assert count_tait_backtracking(union) == expected
             assert count_tait_matching_formula(union) == expected
+
+    def test_components_split_the_vertex_part(self):
+        union = disjoint_union(disjoint_union(THETA, UNKNOT), HANDCUFFS)
+        parts = webs.components(union)
+        assert [p.vertices for p in parts] == [("0:0:a", "0:0:b"), ("1:a", "1:b")]
+        assert [[e.id for e in p.edges] for p in parts] == [
+            ["0:0:e1", "0:0:e2", "0:0:e3"], ["1:l1", "1:c", "1:l2"]
+        ]
+        assert webs.components(THETA) == [THETA]
+        assert webs.components(UNKNOT) == webs.components(EMPTY) == []
 
     def test_union_with_empty_is_neutral(self):
         union = disjoint_union(THETA, EMPTY)
