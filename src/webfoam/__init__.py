@@ -6,7 +6,8 @@ Subpackages by topic:
   images ``num / (1+t)^k`` over F2[t], and the leading form and order of
   vanishing at (1,1,1);
 * :mod:`webfoam.linalg` -- fraction-free elimination (rank, determinant,
-  solves, null spaces), randomized rank, Smith normal form;
+  solves, null spaces), randomized rank, the local Smith form over
+  F2[t]_(t);
 * :mod:`webfoam.webs` -- cubic multigraphs, 1-sets, Tait counts;
 * :mod:`webfoam.foams` -- dotted sphere and theta-foam evaluations;
 * :mod:`webfoam.operators` -- edge-operator models and decompositions;

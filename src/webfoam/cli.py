@@ -223,43 +223,47 @@ def _cmd_web(args: argparse.Namespace) -> int:
     # exact counts have about 0.5 digits per edge, so lift the int-to-string
     # limit for the output; the input was parsed under it (main restores it)
     sys.set_int_max_str_digits(0)
-    if args.web_command == "info":
-        summary = _web_summary(web)
+    try:
+        if args.web_command == "info":
+            summary = _web_summary(web)
+            if args.json:
+                _emit_json(summary)
+            else:
+                for key in sorted(summary):
+                    print(f"{key}: {summary[key]}")
+            return EXIT_OK
+        if args.web_command == "tait":
+            bt = webs.count_tait_backtracking(web)
+            mf = webs.count_tait_matching_formula(web)
+            if bt != mf:
+                raise InternalConsistencyError(
+                    f"backtracking count {bt} != matching-formula count {mf}"
+                )
+            if args.json:
+                _emit_json({"web": web.name, "tait_colorings": bt})
+            else:
+                print(bt)
+            return EXIT_OK
+        # predict-rank
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            predicted = webs.predict_planar_rank(web)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
         if args.json:
-            _emit_json(summary)
-        else:
-            for key in sorted(summary):
-                print(f"{key}: {summary[key]}")
-        return EXIT_OK
-    if args.web_command == "tait":
-        bt = webs.count_tait_backtracking(web)
-        mf = webs.count_tait_matching_formula(web)
-        if bt != mf:
-            raise InternalConsistencyError(
-                f"backtracking count {bt} != matching-formula count {mf}"
+            _emit_json(
+                {
+                    "web": web.name,
+                    "predicted_rank": predicted,
+                    "planar_backed": not caught,
+                }
             )
-        if args.json:
-            _emit_json({"web": web.name, "tait_colorings": bt})
         else:
-            print(bt)
+            print(predicted)
         return EXIT_OK
-    # predict-rank
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        predicted = webs.predict_planar_rank(web)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    if args.json:
-        _emit_json(
-            {
-                "web": web.name,
-                "predicted_rank": predicted,
-                "planar_backed": not caught,
-            }
-        )
-    else:
-        print(predicted)
-    return EXIT_OK
+    except RecursionError as exc:
+        # the counters recurse once per edge
+        raise InputError(f"{args.web}: too large for the exact counters") from exc
 
 
 def _cmd_ops(args: argparse.Namespace) -> int:

@@ -79,23 +79,14 @@ def eval_theta(m1: int, m2: int, m3: int) -> LaurentPoly:
     return _eval_theta_sorted(tuple(sorted((m1, m2, m3), reverse=True)))
 
 
-def pairing_matrix(
-    left_dots: tuple[tuple[int, int, int], ...] = THETA_BASIS_DOTS,
-    right_dots: tuple[tuple[int, int, int], ...] = THETA_BASIS_DOTS,
-) -> list[list[LaurentPoly]]:
-    """Gram matrix of theta evaluations between two dotted families.
+def pairing_matrix() -> list[list[LaurentPoly]]:
+    """Gram matrix of theta evaluations on the standard dotted family.
 
     Entry (i, j) is the evaluation of the theta foam whose dot counts
-    are the componentwise sum of ``left_dots[i]`` and ``right_dots[j]``.
-    For the standard six-element families the matrix is unimodular.
+    are the componentwise sum of ``THETA_BASIS_DOTS[i]`` and
+    ``THETA_BASIS_DOTS[j]``.  The matrix is unimodular.
     """
-    for dots in (*left_dots, *right_dots):
-        if dots not in THETA_BASIS_DOTS:
-            raise ValueError(
-                f"dot triple {dots} is outside the pairing index set "
-                f"{{(0, m, n): m in {{0,1}}, n in {{0,1,2}}}}"
-            )
     return [
-        [eval_theta(a[0] + v[0], a[1] + v[1], a[2] + v[2]) for v in right_dots]
-        for a in left_dots
+        [eval_theta(a[0] + v[0], a[1] + v[1], a[2] + v[2]) for v in THETA_BASIS_DOTS]
+        for a in THETA_BASIS_DOTS
     ]

@@ -56,7 +56,7 @@ __all__ = [
 
 #: Largest exponent magnitude :meth:`LaurentPoly.parse` accepts.  Line
 #: substitution writes (1+t)^e as a dense F2[t] polynomial of e + 1 bits,
-#: and the Smith form over F2[t] multiplies and divides such polynomials;
+#: and the local Smith form over F2[t]_(t) multiplies such polynomials;
 #: at this limit a cleared line image has degree at most 6 * 4096, a few
 #: kilobytes, where an unbounded exponent could ask for gigabytes.
 MAX_PARSED_EXPONENT = 4096

@@ -11,8 +11,8 @@ entries.  Everything here is exact:
 * a cross-checking randomized rank that evaluates the matrix at random
   points of GF(2^16) and eliminates over that field (Schwartz-Zippel);
 * adjugates by cofactors, kept as an oracle independent of the kernel;
-* Smith normal form over the Euclidean domain F2[t] for torsion
-  analysis of specialized differentials.
+* the exponents of the Smith form over the local ring F2[t]_(t), for
+  torsion analysis of specialized differentials.
 
 The two rank routes are deliberately independent; :func:`fraction_rank`
 runs both and raises :class:`~webfoam.errors.InternalConsistencyError`
@@ -33,6 +33,7 @@ from .laurent import (
     ZERO,
     gf2_divmod,
     gf2_mul,
+    gf2_valuation,
     poly_divexact,
 )
 
@@ -389,7 +390,7 @@ def fraction_rank(mat: Sequence[Sequence[LaurentPoly]], seed: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rank over F2 and Smith normal form over F2[t].
+# Rank over F2 and the local Smith form over F2[t]_(t).
 # ---------------------------------------------------------------------------
 
 
@@ -407,72 +408,36 @@ def rank_f2(rows: Sequence[int]) -> int:
 
 
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form over F2[t].
+    """Exponents a_1 <= a_2 <= ... of the Smith form over F2[t]_(t).
 
-    Entries are bit-packed univariate polynomials.  The returned list
-    holds the nonzero invariant factors d_1 | d_2 | ... (monic is
-    automatic over F2); zero rows/columns are dropped.
+    Entries are bit-packed univariate polynomials.  Over the local ring
+    the Smith form is diag(t^a_1, t^a_2, ...), and only these exponents
+    are returned; zero rows/columns are dropped.  Each step takes a
+    nonzero entry t^v * u of least valuation v (u(0) = 1, so u is a
+    local unit), replaces every other row with t^v * f in the pivot
+    column by u*row + f*pivot_row, and drops the pivot row and column.
+    Every step is invertible over the local ring, and v is least, so
+    the pivot divides its row and clearing it only scales by units.
     """
     m = [list(row) for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    diag: list[int] = []
-    top = 0
+    exps: list[int] = []
     while True:
-        # locate a nonzero entry of minimal degree in the remaining block
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if m[i][j] and (best is None or m[i][j].bit_length() < best[2]):
-                    best = (i, j, m[i][j].bit_length())
+        best = min(
+            (
+                (gf2_valuation(x), i, j)
+                for i, row in enumerate(m)
+                for j, x in enumerate(row)
+                if x
+            ),
+            default=None,
+        )
         if best is None:
-            break
-        bi, bj, _ = best
-        m[top], m[bi] = m[bi], m[top]
-        for row in m:
-            row[top], row[bj] = row[bj], row[top]
-        while True:
-            pivot = m[top][top]
-            # clear the column
-            dirty = False
-            for i in range(top + 1, rows):
-                if m[i][top]:
-                    q, r = gf2_divmod(m[i][top], pivot)
-                    m[i] = [x ^ gf2_mul(q, y) for x, y in zip(m[i], m[top])]
-                    if r:
-                        m[top], m[i] = m[i], m[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # clear the row
-            for j in range(top + 1, cols):
-                if m[top][j]:
-                    q, r = gf2_divmod(m[top][j], pivot)
-                    for i in range(top, rows):
-                        m[i][j] ^= gf2_mul(q, m[i][top])
-                    if r:
-                        for i in range(top, rows):
-                            m[i][top], m[i][j] = m[i][j], m[i][top]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        # enforce d_k | (remaining entries): fold offending rows in
-        pivot = m[top][top]
-        offender = None
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if m[i][j] and gf2_divmod(m[i][j], pivot)[1]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            m[top] = [x ^ y for x, y in zip(m[top], m[offender])]
-            continue  # re-run the reduction at the same corner
-        diag.append(pivot)
-        top += 1
-        if top >= rows or top >= cols:
-            break
-    return diag
+            return exps
+        v, pi, pj = best
+        pivot_row = m.pop(pi)
+        u = pivot_row.pop(pj) >> v
+        for i, row in enumerate(m):
+            f = row.pop(pj) >> v
+            if f:
+                m[i] = [gf2_mul(u, x) ^ gf2_mul(f, y) for x, y in zip(row, pivot_row)]
+        exps.append(v)

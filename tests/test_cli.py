@@ -315,6 +315,47 @@ class TestAdversarialInputs:
             "direction 1,1,0: r=0 l=1 torsion={16384}\n"
         )
 
+    def test_two_term_entries_analyze_quickly(self, tmp_path):
+        # a 2x3 map of two-term entries with exponents up to 4096 in magnitude:
+        # the cleared line images have degree in the tens of thousands
+        a = [
+            ["T1^-382*T2^1972*T3^2054 + T1^-2027*T2^-932*T3^-3379",
+             "T1^-666*T2^2469*T3^-3600 + T1^-2701*T2^-1854*T3^-42",
+             "T1^3426*T2^3889*T3^3328 + T1^2301*T2^4013*T3^-947"],
+            ["T1^2501*T2^-2629*T3^3851 + T1^-260*T2^-3769*T3^274",
+             "T1^2583*T2^3675*T3^2114 + T1^-2233*T2^136*T3^-2505",
+             "T1^-2331*T2^-3145*T3^1448 + T1^-3063*T2^2234*T3^2084"],
+        ]
+        rows = [["0", "0", *row] for row in a] + [["0"] * 5 for _ in range(3)]
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"rank": 5, "differential": rows}))
+        proc = run_process("complex", "analyze", str(path))
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            "complex: cone.json\nrank: 5\nfrac_rank: 1\nf2_dim: 5\n"
+            "direction 1,1,1: r=1 l=2 torsion={1,2}\n"
+            "direction 1,1,0: r=1 l=2 torsion={1,1}\n"
+        )
+
+    def test_deep_web_exit_code(self, tmp_path):
+        # the prism C_400 x K2: the exact counters recurse once per edge
+        n = 400
+        edges = [
+            {"id": f"{kind}{i}", "ends": ends}
+            for i in range(n)
+            for kind, ends in (
+                ("x", [f"a{i}", f"a{(i + 1) % n}"]),
+                ("y", [f"b{i}", f"b{(i + 1) % n}"]),
+                ("z", [f"a{i}", f"b{i}"]),
+            )
+        ]
+        vertices = [f"{side}{i}" for side in "ab" for i in range(n)]
+        path = tmp_path / "prism.json"
+        path.write_text(json.dumps({"name": "prism", "vertices": vertices, "edges": edges}))
+        proc = run_process("web", "tait", str(path))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"error: {path}: too large for the exact counters\n"
+
     def test_huge_declared_rank_exit_code(self, tmp_path):
         path = tmp_path / "rank.json"
         path.write_text('{"rank": 1000000000, "differential": []}')

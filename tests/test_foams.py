@@ -136,7 +136,3 @@ class TestPairing:
             assert gram[n - 1 - i][i] == ONE
             for j in range(i):
                 assert gram[n - 1 - i][j] == ZERO
-
-    def test_rejects_foreign_dot_triples(self):
-        with pytest.raises(ValueError):
-            pairing_matrix(((0, 2, 0),), THETA_BASIS_DOTS)

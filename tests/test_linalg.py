@@ -1,4 +1,4 @@
-"""Exact/randomized rank agreement, determinants, null spaces, and SNF."""
+"""Exact/randomized rank agreement, determinants, null spaces, and local Smith form."""
 
 import itertools
 import random
@@ -226,11 +226,10 @@ def random_gf2poly(rng, max_degree=4):
     return rng.getrandbits(max_degree + 1)
 
 
-def minor_gcd(mat, k):
-    """gcd of all k x k minors, as the determinantal-divisor oracle."""
+def minors(mat, k):
+    """All k x k minors, for the determinantal-divisor oracle."""
     rows = range(len(mat))
     cols = range(len(mat[0]))
-    acc = 0
 
     def det(rsel, csel):
         if len(rsel) == 1:
@@ -243,8 +242,12 @@ def minor_gcd(mat, k):
 
     for rsel in itertools.combinations(rows, k):
         for csel in itertools.combinations(cols, k):
-            acc = gf2_gcd(acc, det(rsel, csel))
-    return acc
+            yield det(rsel, csel)
+
+
+def random_local_unit(rng, max_degree=3):
+    """A polynomial with constant term 1: a unit of F2[t]_(t), not of F2[t]."""
+    return rng.getrandbits(max_degree + 1) | 1
 
 
 class TestSmithNormalForm:
@@ -255,21 +258,19 @@ class TestSmithNormalForm:
             mat = [
                 [random_gf2poly(rng) for _ in range(cols)] for _ in range(rows)
             ]
-            diag = smith_normal_form(mat)
-            # divisibility chain
-            for a, b in zip(diag, diag[1:]):
-                assert gf2_divmod(b, a)[1] == 0
-            # product of the first k diagonal entries = gcd of k x k minors
-            prod = 1
-            for k, d in enumerate(diag, start=1):
-                prod = gf2_mul(prod, d)
-                assert prod == minor_gcd(mat, k)
-            if len(diag) < min(rows, cols):
-                assert minor_gcd(mat, len(diag) + 1) == 0
+            exps = smith_normal_form(mat)
+            # t^(a_1 + ... + a_k) generates the ideal of k x k minors
+            # over the local ring: its exponent is their least valuation
+            for k in range(1, len(exps) + 1):
+                least = min(gf2_valuation(d) for d in minors(mat, k) if d)
+                assert sum(exps[:k]) == least
+            if len(exps) < min(rows, cols):
+                assert not any(minors(mat, len(exps) + 1))
 
     def test_valuations_invariant_under_unimodular_ops(self, rng):
         base = [[0b10000, 0, 0b11], [0, 0b100, 0], [0, 0, 0]]
-        reference = sorted(gf2_valuation(d) for d in smith_normal_form(base))
+        reference = smith_normal_form(base)
+        assert reference == [0, 2]
         for _ in range(20):
             mat = [list(row) for row in base]
             for _ in range(6):
@@ -280,8 +281,16 @@ class TestSmithNormalForm:
                 else:
                     for row in mat:
                         row[i] ^= gf2_mul(c, row[j])
-            got = sorted(gf2_valuation(d) for d in smith_normal_form(mat))
-            assert got == reference
+            # scalings by local units change the Euclidean invariant
+            # factors over F2[t] but not the local exponents
+            for i in range(3):
+                u = random_local_unit(rng)
+                mat[i] = [gf2_mul(u, x) for x in mat[i]]
+            for j in range(3):
+                u = random_local_unit(rng)
+                for row in mat:
+                    row[j] = gf2_mul(u, row[j])
+            assert smith_normal_form(mat) == reference
 
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -308,4 +317,6 @@ class TestSmithNormalForm:
                 sympy.Matrix([[to_sympy(a) for a in row] for row in mat]), domain=domain
             )
             diag = [from_sympy(reference[k, k]) for k in range(min(rows, cols))]
-            assert smith_normal_form(mat) == [d for d in diag if d], mat
+            exps = smith_normal_form(mat)
+            assert exps == [gf2_valuation(d) for d in diag if d], mat
+            assert exps == sorted(exps)
