@@ -8,9 +8,16 @@ convolution with parity bookkeeping.  Values are immutable and hashable;
 two values are equal exactly when their term sets are equal.
 
 The module also provides univariate polynomials over F2 in a variable
-``t``, represented as Python integers with bit ``k`` holding the
-coefficient of ``t**k`` (functions :func:`gf2_mul`, :func:`gf2_divmod`,
-...).  Along a line ``T_i = 1 + c_i t`` through (1, 1, 1) every element
+``t``, in two forms: dense, as Python integers with bit ``k`` holding the
+coefficient of ``t**k`` (functions :func:`gf2_mul`, :func:`gf2_divexact`,
+...), and sparse, as frozensets of the exponents whose coefficient is 1
+(:func:`packed_mul`, :func:`packed_divexact`).  The Kronecker
+substitution ``T1 -> t, T2 -> t^d1, T3 -> t^(d1*d2)``
+(:func:`kronecker_pack`) carries a polynomial whose exponents lie in the
+box ``[0, d1) x [0, d2) x [0, inf)`` to one packed integer exponent per
+term, injectively, and is a ring homomorphism; exact division and the
+elimination kernel in :mod:`webfoam.linalg` run on these packed forms.
+Along a line ``T_i = 1 + c_i t`` through (1, 1, 1) every element
 maps to ``num / (1+t)^k`` (:func:`substitute_line`), and ``(1+t)^k`` is a
 unit at t = 0, so the pair ``(num, k)`` is all the local analysis needs.
 The fraction field of the Laurent ring is never formed: ranks over it
@@ -23,6 +30,7 @@ all exponents in {-1, +1} and an even number of -1 entries; see
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import re
@@ -45,10 +53,15 @@ __all__ = [
     "poly_divexact",
     "substitute_line",
     "format_line_image",
+    "kronecker_pack",
+    "kronecker_unpack",
+    "packed_mul",
+    "packed_divexact",
     "gf2_mul",
     "gf2_divmod",
-    "gf2_gcd",
-    "gf2_pow",
+    "gf2_divexact",
+    "gf2_exponents",
+    "gf2_from_exponents",
     "gf2_mul_one_plus_t_pow",
     "gf2_valuation",
     "MAX_PARSED_EXPONENT",
@@ -175,9 +188,6 @@ class LaurentPoly:
         return len(self.terms)
 
     # -- inspection ---------------------------------------------------
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def exponent_range(self) -> tuple[Triple, Triple]:
         """Componentwise (min, max) exponents; only valid for nonzero values."""
@@ -342,41 +352,113 @@ def _submasks(a: int) -> Iterator[int]:
 def poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact division a / b in the Laurent ring; b must divide a.
 
-    Both operands are shifted to plain polynomials, divided by leading
-    terms in lexicographic order, and shifted back.  Raises ValueError
-    if the division leaves a remainder.
+    Both operands are shifted to plain polynomials and packed by the
+    Kronecker substitution of ``a``'s box; the packed quotient comes from
+    :func:`packed_divexact` and is unpacked and shifted back.  Raises
+    ValueError if the division leaves a remainder.
     """
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
         return ZERO
-    lo_b, _ = b.exponent_range()
+    lo_b, hi_b = b.exponent_range()
     if len(b.terms) == 1:  # a unit: division is a shift
         return a.shifted(-lo_b[0], -lo_b[1], -lo_b[2])
-    lo_a, _ = a.exponent_range()
-    bb = b.shifted(-lo_b[0], -lo_b[1], -lo_b[2]).terms
-    lead_b = max(bb)
-    rem = set(a.shifted(-lo_a[0], -lo_a[1], -lo_a[2]).terms)
+    lo_a, hi_a = a.exponent_range()
+    d1, d2 = hi_a[0] - lo_a[0] + 1, hi_a[1] - lo_a[1] + 1
+    quot = kronecker_unpack(
+        packed_divexact(
+            kronecker_pack(a, d1, d2, lo_a), kronecker_pack(b, d1, d2, lo_b)
+        ),
+        d1,
+        d2,
+    )
+    # The packing is injective on a's box, so the unpacked quotient is
+    # the true one exactly when its products with b stay in that box.
+    room1 = d1 - 1 - (hi_b[0] - lo_b[0])
+    room2 = d2 - 1 - (hi_b[1] - lo_b[1])
+    if any(e1 > room1 or e2 > room2 for (e1, e2, _) in quot.terms):
+        raise ValueError("inexact division of Laurent polynomials")
+    return quot.shifted(lo_a[0] - lo_b[0], lo_a[1] - lo_b[1], lo_a[2] - lo_b[2])
+
+
+# ---------------------------------------------------------------------------
+# Packed monomials: the Kronecker substitution T1 -> t, T2 -> t^d1,
+# T3 -> t^(d1*d2), with sparse F2[t] polynomials as exponent sets.
+# ---------------------------------------------------------------------------
+
+
+def kronecker_pack(p: LaurentPoly, d1: int, d2: int, low: Triple) -> list[int]:
+    """Packed exponents of ``p`` times T^-low: e1 + d1*e2 + d1*d2*e3 per term.
+
+    The map is additive, so it turns products into products in F2[t];
+    it is injective on exponents in ``[0, d1) x [0, d2) x [0, inf)``.
+    """
+    d12 = d1 * d2
+    offset = low[0] + d1 * low[1] + d12 * low[2]
+    return [e1 + d1 * e2 + d12 * e3 - offset for (e1, e2, e3) in p.terms]
+
+
+def kronecker_unpack(exps: Iterable[int], d1: int, d2: int) -> LaurentPoly:
+    """Inverse of :func:`kronecker_pack` on its box, for ``low`` zero."""
+    out = []
+    for e in exps:
+        rest, e1 = divmod(e, d1)
+        e3, e2 = divmod(rest, d2)
+        out.append((e1, e2, e3))
+    return LaurentPoly(out)
+
+
+def packed_mul(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+    """Product of two sparse F2[t] polynomials given as exponent sets."""
+    if len(a) > len(b):
+        a, b = b, a
+    acc: set[int] = set()
+    for e in a:
+        # the shifted copy of b has distinct terms: xor toggles parity
+        acc ^= set(map(e.__add__, b))
+    return frozenset(acc)
+
+
+def packed_divexact(a: Iterable[int], b: Iterable[int]) -> frozenset[int]:
+    """Exact quotient of two sparse F2[t] polynomials given as exponent sets.
+
+    The leading term of the remainder comes off a max-heap with lazy
+    deletion: every exponent that enters the remainder is pushed, and a
+    popped exponent no longer in the remainder is skipped.  The leading
+    exponent strictly decreases, so no quotient term repeats and the
+    loop ends; a leading term below ``max(b)`` raises ValueError.
+    """
+    b = frozenset(b)
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = set(a)
+    if len(b) == 1:  # a monomial: division is a shift
+        (shift,) = b
+        if rem and min(rem) < shift:
+            raise ValueError("inexact division in F2[t]")
+        return frozenset(e - shift for e in rem)
+    lead_b = max(b)
+    heap = [-e for e in rem]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     add, remove = rem.add, rem.remove
-    # The leading remainder term strictly decreases, so no quotient term
-    # repeats.
-    quot: list[Triple] = []
+    quot = []
     while rem:
-        lead_r = max(rem)
-        m1, m2, m3 = (
-            lead_r[0] - lead_b[0], lead_r[1] - lead_b[1], lead_r[2] - lead_b[2]
-        )
-        if m1 < 0 or m2 < 0 or m3 < 0:
-            raise ValueError("inexact division of Laurent polynomials")
-        quot.append((m1, m2, m3))
-        for (b1, b2, b3) in bb:
-            t = (b1 + m1, b2 + m2, b3 + m3)
-            if t in rem:
-                remove(t)
+        lead = -pop(heap)
+        if lead not in rem:
+            continue
+        m = lead - lead_b
+        if m < 0:
+            raise ValueError("inexact division in F2[t]")
+        quot.append(m)
+        for e in map(m.__add__, b):
+            if e in rem:
+                remove(e)
             else:
-                add(t)
-    shift = (lo_a[0] - lo_b[0], lo_a[1] - lo_b[1], lo_a[2] - lo_b[2])
-    return LaurentPoly(quot).shifted(*shift)
+                add(e)
+                push(heap, -e)
+    return frozenset(quot)
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +466,48 @@ def poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
+def gf2_exponents(a: int) -> list[int]:
+    """Exponents of the terms of a bit-packed F2[t] polynomial, descending."""
+    bits = bin(a)
+    top = len(bits) - 1
+    out = []
+    i = bits.find("1", 2)
+    while i >= 0:
+        out.append(top - i)
+        i = bits.find("1", i + 1)
+    return out
+
+
+def gf2_from_exponents(exps: Iterable[int]) -> int:
+    """Bit-packed F2[t] polynomial with the given distinct exponents."""
+    exps = list(exps)
+    if not exps:
+        return 0
+    top = max(exps)
+    digits = bytearray(b"0") * (top + 1)
+    for e in exps:
+        digits[top - e] = 49  # ord("1")
+    return int(digits, 2)
+
+
 def gf2_mul(a: int, b: int) -> int:
-    """Carry-less product of two F2[t] polynomials."""
+    """Carry-less product of two F2[t] polynomials.
+
+    One shift and xor for each set bit of the sparser operand.  A
+    word-sized operand gives up its lowest bit at a time; a longer one
+    lists its bits in one pass (:func:`gf2_exponents`).
+    """
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
     result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a <<= 1
-        b >>= 1
+    if a.bit_length() > 64:
+        for k in gf2_exponents(a):
+            result ^= b << k
+        return result
+    while a:
+        low = a & -a
+        result ^= b << (low.bit_length() - 1)
+        a ^= low
     return result
 
 
@@ -408,20 +524,29 @@ def gf2_divmod(a: int, b: int) -> tuple[int, int]:
     return quot, a
 
 
-def gf2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, gf2_divmod(a, b)[1]
-    return a
+def gf2_divexact(a: int, b: int) -> int:
+    """Exact quotient a / b in F2[t]; b must divide a.
 
-
-def gf2_pow(a: int, n: int) -> int:
-    result = 1
-    while n:
-        if n & 1:
-            result = gf2_mul(result, a)
-        a = gf2_mul(a, a)
-        n >>= 1
-    return result
+    Works from the high end, one shift and xor per quotient term; each
+    step lowers the degree of the remainder, and a nonzero remainder of
+    degree below deg b raises ValueError, so the loop always ends.
+    """
+    if b == 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    if b & (b - 1) == 0:  # a monomial: division is a shift
+        shift = b.bit_length() - 1
+        if a & (b - 1):
+            raise ValueError("inexact division in F2[t]")
+        return a >> shift
+    db = b.bit_length()
+    quot = []
+    while a:
+        shift = a.bit_length() - db
+        if shift < 0:
+            raise ValueError("inexact division in F2[t]")
+        quot.append(shift)
+        a ^= b << shift
+    return gf2_from_exponents(quot)
 
 
 def gf2_mul_one_plus_t_pow(a: int, s: int) -> int:
@@ -450,16 +575,9 @@ def gf2_valuation(a: int) -> int | float:
 def _format_gf2(a: int) -> str:
     if a == 0:
         return "0"
-    parts = []
-    k = 0
-    while a:
-        if a & 1:
-            parts.append("1" if k == 0 else ("t" if k == 1 else f"t^{k}"))
-        a >>= 1
-        k += 1
-    return " + ".join(parts)
-
-
+    return " + ".join(
+        "1" if k == 0 else ("t" if k == 1 else f"t^{k}") for k in reversed(gf2_exponents(a))
+    )
 
 
 def format_line_image(num: int, k: int) -> str:

@@ -14,6 +14,20 @@ entries.  Everything here is exact:
 * the exponents of the Smith form over the local ring F2[t]_(t), for
   torsion analysis of specialized differentials.
 
+The kernel does not work on exponent triples.  After the row shift,
+the entries of row i have degree at most s_i(v) in each variable T_v,
+so a k x k minor has degree at most the sum of the k largest row
+spreads in T_v.  With d_v one more than the sum of the min(rows, cols)
+largest spreads, the Kronecker substitution T1 -> t, T2 -> t^d1,
+T3 -> t^(d1*d2) (:func:`~webfoam.laurent.kronecker_pack`) is injective
+on every entry the kernel stores -- each is a minor -- and the kernel
+runs in F2[t].  The numerator ``row*pivot + factor*pivot_row`` may leave
+the box and wrap, but the substitution is a ring homomorphism and F2[t]
+is a domain, so its exact quotient by the previous pivot is the image of
+the true minor and unpacks uniquely.  Entries are dense bit-packed
+integers when the box is small enough (:data:`DENSE_BUDGET_BITS`), and
+sparse exponent sets otherwise.
+
 The two rank routes are deliberately independent; :func:`fraction_rank`
 runs both and raises :class:`~webfoam.errors.InternalConsistencyError`
 if they ever disagree (the check is :func:`check_rank_agreement`, which
@@ -31,10 +45,17 @@ from .laurent import (
     LaurentPoly,
     ONE,
     ZERO,
+    gf2_divexact,
     gf2_divmod,
+    gf2_exponents,
+    gf2_from_exponents,
     gf2_mul,
     gf2_valuation,
-    poly_divexact,
+    kronecker_pack,
+    kronecker_unpack,
+    packed_divexact,
+    packed_mul,
+    poly_divexact,  # no caller here; kept as the attribute a tracer wraps
 )
 
 Matrix = list[list[LaurentPoly]]
@@ -65,6 +86,11 @@ __all__ = [
 
 #: Number of independent GF(2^16) evaluations used by the randomized rank.
 RANDOM_RANK_TRIALS = 3
+
+#: Largest rows * cols * (bits of the packed box) for which the Bareiss
+#: kernel stores entries as dense bit-packed F2[t] integers, so that the
+#: stored entries fit in 4 MB; larger boxes use sparse exponent sets.
+DENSE_BUDGET_BITS = 1 << 25
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +151,15 @@ def _bareiss(
     characteristic 2 the Bareiss cross term is an addition.  Every
     division by the previous pivot is exact.
 
+    The loop runs on packed entries (see the module docstring): after
+    the shift, row i spreads over s_i(v) powers of T_v, and with d_v one
+    more than the sum of the min(rows, cols) largest s_i(v), every minor
+    lies in the box [0, d1) x [0, d2) x [0, d3).  Entries are packed on
+    entry by T1 -> t, T2 -> t^d1, T3 -> t^(d1*d2) and unpacked on exit.
+    They are dense bit-packed F2[t] integers when
+    rows * cols * d1 * d2 * d3 is at most :data:`DENSE_BUDGET_BITS`, and
+    frozensets of packed exponents otherwise; in both, addition is ``^``.
+
     With ``reduce_above`` the rows above each pivot are eliminated too
     (fraction-free Gauss-Jordan), so every pivot entry ends equal to the
     last pivot.  Returns the reduced rows, the pivot columns (pivot i
@@ -132,17 +167,27 @@ def _bareiss(
     of the row shifts: the row scalings multiplied the determinant of a
     square matrix by T^-total.
     """
-    m: Matrix = []
-    total = [0, 0, 0]
+    lows: list[tuple[int, int, int]] = []
+    spreads: tuple[list[int], list[int], list[int]] = ([], [], [])
     for row in mat:
-        lows = [x.exponent_range()[0] for x in row if x]
-        lo = [min(e[i] for e in lows) if lows else 0 for i in range(3)]
-        m.append([x.shifted(-lo[0], -lo[1], -lo[2]) for x in row])
-        total = [t + e for t, e in zip(total, lo)]
-    rows = len(m)
-    free = list(range(len(m[0]) if m else 0))
+        ranges = [x.exponent_range() for x in row if x]
+        lo = tuple(min((r[0][v] for r in ranges), default=0) for v in range(3))
+        for v in range(3):
+            spreads[v].append(max((r[1][v] for r in ranges), default=lo[v]) - lo[v])
+        lows.append(lo)
+    rows = len(mat)
+    cols = len(mat[0]) if mat else 0
+    d1, d2, d3 = (1 + sum(sorted(s, reverse=True)[: min(rows, cols)]) for s in spreads)
+    if rows * cols * d1 * d2 * d3 <= DENSE_BUDGET_BITS:
+        zero, one, mul, div = 0, 1, gf2_mul, gf2_divexact
+        encode, decode = gf2_from_exponents, gf2_exponents
+    else:
+        zero, one, mul, div = frozenset(), frozenset((0,)), packed_mul, packed_divexact
+        encode = decode = frozenset
+    m = [[encode(kronecker_pack(x, d1, d2, lo)) for x in row] for row, lo in zip(mat, lows)]
+    free = list(range(cols))
     pivot_cols: list[int] = []
-    prev_pivot = ONE
+    prev_pivot = one
     for r in range(rows):
         found = next(
             ((i, j) for i in range(r, rows) for j in free if m[i][j]), None
@@ -160,14 +205,21 @@ def _bareiss(
             row = m[i]
             factor = row[pc]
             for j in free:
-                num = row[j] * pivot + factor * pivot_row[j]
-                row[j] = poly_divexact(num, prev_pivot)
-            row[pc] = ZERO
+                # num may wrap past the box; its exact quotient, a minor, does not
+                num = mul(row[j], pivot) ^ mul(factor, pivot_row[j])
+                row[j] = div(num, prev_pivot)
+            row[pc] = zero
             if i < r:
                 row[pivot_cols[i]] = pivot
         pivot_cols.append(pc)
         prev_pivot = pivot
-    return m, pivot_cols, prev_pivot, (total[0], total[1], total[2])
+    t1, t2, t3 = (sum(lo[v] for lo in lows) for v in range(3))
+    return (
+        [[kronecker_unpack(decode(x), d1, d2) for x in row] for row in m],
+        pivot_cols,
+        kronecker_unpack(decode(prev_pivot), d1, d2),
+        (t1, t2, t3),
+    )
 
 
 def rank_frac_exact(mat: Sequence[Sequence[LaurentPoly]]) -> int:

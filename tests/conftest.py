@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from webfoam.laurent import LaurentPoly
+from webfoam.laurent import LaurentPoly, gf2_divmod, gf2_mul
 
 settings.register_profile(
     "default",
@@ -26,6 +26,28 @@ def random_poly(rng: random.Random, max_terms: int = 4, spread: int = 2) -> Laur
         for _ in range(rng.randint(0, max_terms))
     }
     return LaurentPoly(terms)
+
+
+def is_monomial(p: LaurentPoly) -> bool:
+    return len(p.terms) == 1
+
+
+def gf2_gcd(a: int, b: int) -> int:
+    """Greatest common divisor in F2[t], by Euclid's algorithm."""
+    while b:
+        a, b = b, gf2_divmod(a, b)[1]
+    return a
+
+
+def gf2_pow(a: int, n: int) -> int:
+    """a^n in F2[t], by repeated squaring."""
+    result = 1
+    while n:
+        if n & 1:
+            result = gf2_mul(result, a)
+        a = gf2_mul(a, a)
+        n >>= 1
+    return result
 
 
 @pytest.fixture

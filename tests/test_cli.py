@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 import webfoam
 from webfoam.cli import main
 from webfoam.homology import cone_of_p, complex_to_dict
+from webfoam.laurent import LaurentPoly
+from webfoam.linalg import rank_frac_randomized
 from webfoam.webs import corpus_web, web_to_dict
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -335,6 +338,54 @@ class TestAdversarialInputs:
             "complex: cone.json\nrank: 5\nfrac_rank: 1\nf2_dim: 5\n"
             "direction 1,1,1: r=1 l=2 torsion={1,2}\n"
             "direction 1,1,0: r=1 l=2 torsion={1,1}\n"
+        )
+
+    @staticmethod
+    def cone_file(tmp_path, seed: int, n: int, terms: int, spread: int):
+        """The cone of a seeded n x n map with entries of ``terms`` random terms."""
+        rng = random.Random(seed)
+        a = [
+            [
+                LaurentPoly(
+                    {tuple(rng.randint(-spread, spread) for _ in range(3)) for _ in range(terms)}
+                )
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        rows = [["0"] * n + [str(x) for x in row] for row in a]
+        rows += [["0"] * (2 * n) for _ in range(n)]
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"rank": 2 * n, "differential": rows}))
+        return a, path
+
+    def test_two_term_six_by_six_block(self, tmp_path):
+        # every entry of the Bareiss elimination is a minor of degree up to
+        # 48 in each variable: past 30 s on exponent triples
+        a, path = self.cone_file(tmp_path, seed=6, n=6, terms=2, spread=4)
+        rank = rank_frac_randomized(a, random.Random(0))
+        proc = run_process("complex", "analyze", str(path))
+        assert proc.returncode == 0
+        assert f"frac_rank: {12 - 2 * rank}\n" in proc.stdout
+        assert proc.stdout == (
+            "complex: cone.json\nrank: 12\nfrac_rank: 0\nf2_dim: 12\n"
+            "direction 1,1,1: r=0 l=6 torsion={1,1,1,1,1,1}\n"
+            "direction 1,1,0: r=0 l=6 torsion={1,1,1,1,1,2}\n"
+        )
+
+    def test_three_term_entries_at_magnitude_256(self, tmp_path):
+        # a 1.4 KB rank-8 file: the packed box is too large for dense
+        # entries, so the kernel runs on sparse exponent sets
+        a, path = self.cone_file(tmp_path, seed=8, n=4, terms=3, spread=256)
+        assert path.stat().st_size < 1500
+        rank = rank_frac_randomized(a, random.Random(0))
+        proc = run_process("complex", "analyze", str(path))
+        assert proc.returncode == 0
+        assert f"frac_rank: {8 - 2 * rank}\n" in proc.stdout
+        assert proc.stdout == (
+            "complex: cone.json\nrank: 8\nfrac_rank: 0\nf2_dim: 6\n"
+            "direction 1,1,1: r=0 l=3 torsion={1,3,4}\n"
+            "direction 1,1,0: r=0 l=3 torsion={1,1,2}\n"
         )
 
     def test_deep_web_exit_code(self, tmp_path):

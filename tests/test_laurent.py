@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import gf2_gcd, gf2_pow, is_monomial
 from webfoam.laurent import (
     LaurentPoly,
     MAX_PARSED_EXPONENT,
@@ -18,10 +19,8 @@ from webfoam.laurent import (
     eval_at_ones,
     format_line_image,
     gf2_divmod,
-    gf2_gcd,
     gf2_mul,
     gf2_mul_one_plus_t_pow,
-    gf2_pow,
     gf2_valuation,
     leading_form,
     m_adic_order,
@@ -63,7 +62,7 @@ class TestRingBasics:
         assert len(monos) == 4
         product = ONE
         for m in monos:
-            assert m.is_monomial()
+            assert is_monomial(m)
             ((e1, e2, e3),) = m.terms
             assert {abs(e1), abs(e2), abs(e3)} == {1}
             product = product * m
@@ -176,6 +175,11 @@ class TestDivexact:
     def test_inexact_division_raises(self):
         with pytest.raises(ValueError):
             poly_divexact(T1 + T2, T1 + T2 + T3)
+        # packed in the box of the dividend, 1 + T2 and 1 + T1 both map to
+        # 1 + t, so only the unpacked quotient's degrees expose the remainder
+        for a, b in ((ONE + T2, ONE + T1), (ONE + T3, ONE + T2), (ONE + T3, ONE + T1)):
+            with pytest.raises(ValueError):
+                poly_divexact(a, b)
 
     def test_zero_divisor_raises(self):
         with pytest.raises(ZeroDivisionError):

@@ -2,20 +2,24 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
-from conftest import random_poly
+from conftest import gf2_gcd, random_poly
 from webfoam.errors import InternalConsistencyError
 from webfoam.laurent import (
+    LaurentPoly,
     ONE,
     P,
     T1,
     ZERO,
+    gf2_divexact,
     gf2_divmod,
-    gf2_gcd,
     gf2_mul,
     gf2_valuation,
+    packed_divexact,
+    packed_mul,
 )
 from webfoam import linalg
 from webfoam.linalg import (
@@ -177,6 +181,129 @@ class TestBareissKernel:
                     assert row[pc] == (last if k == i else ZERO)
                 if i >= len(pivots):
                     assert not any(row)
+
+
+def laplace_det(mat):
+    """Cofactor expansion along the first row (char 2: signs vanish)."""
+    if len(mat) == 1:
+        return mat[0][0]
+    total = ZERO
+    for j, x in enumerate(mat[0]):
+        if x:
+            minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
+            total = total + x * laplace_det(minor)
+    return total
+
+
+def unimodular(rng, n, steps):
+    """A product of elementary matrices I + c*E_ij: determinant 1."""
+    mat = identity(n)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = random_poly(rng, 2, 1)
+        mat[i] = [x + c * y for x, y in zip(mat[i], mat[j])]
+    return mat
+
+
+class TestPackedPaths:
+    """The dense and the sparse packed kernel as each other's oracle."""
+
+    @staticmethod
+    def count_products(monkeypatch):
+        """Count the kernel's products on each path; returns the live counts."""
+        calls = {"dense": 0, "sparse": 0}
+
+        def counting(path, product):
+            def counted(a, b):
+                calls[path] += 1
+                return product(a, b)
+
+            return counted
+
+        monkeypatch.setattr(linalg, "gf2_mul", counting("dense", gf2_mul))
+        monkeypatch.setattr(linalg, "packed_mul", counting("sparse", packed_mul))
+        return calls
+
+    def on_both_paths(self, monkeypatch, func, *args):
+        """``func(*args)`` with dense entries forced, then with sparse ones."""
+        calls = self.count_products(monkeypatch)
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BITS", 1 << 62)
+        dense = func(*args)
+        dense_calls = dict(calls)
+        monkeypatch.setattr(linalg, "DENSE_BUDGET_BITS", 0)
+        sparse = func(*args)
+        # each run multiplies on its own path only
+        assert dense_calls["sparse"] == 0
+        assert calls["dense"] == dense_calls["dense"]
+        return dense, sparse
+
+    def test_rank_det_and_nullspace_agree(self, monkeypatch, rng):
+        for _ in range(40):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            mat = [[random_poly(rng, 3, 2) for _ in range(cols)] for _ in range(rows)]
+            for func in (rank_frac_exact, nullspace_frac):
+                dense, sparse = self.on_both_paths(monkeypatch, func, mat)
+                assert dense == sparse
+            if rows == cols:
+                dense, sparse = self.on_both_paths(monkeypatch, det_poly, mat)
+                assert dense == sparse
+                if rows <= 4:
+                    assert dense == laplace_det(mat)
+
+    def test_laplace_oracle_on_a_rank_deficient_matrix(self, monkeypatch):
+        mat = [[P, ONE, T1], [P * P, P, P * T1], [ONE, T1, P]]
+        for det in self.on_both_paths(monkeypatch, det_poly, mat):
+            assert det == laplace_det(mat) == ZERO
+
+    def test_solve_unimodular_agrees(self, monkeypatch, rng):
+        for _ in range(12):
+            n = rng.randint(1, 6)
+            mat = unimodular(rng, n, rng.randint(0, 8))
+            rhs = [[random_poly(rng, 2, 1) for _ in range(2)] for _ in range(n)]
+            dense, sparse = self.on_both_paths(
+                monkeypatch, linalg.solve_unimodular, mat, rhs
+            )
+            assert dense == sparse
+            assert mat_mul(mat, dense) == rhs
+
+    def test_default_path_follows_the_box(self, monkeypatch):
+        calls = self.count_products(monkeypatch)
+        assert rank_frac_exact([[P, ONE], [T1, P]]) == 2
+        assert calls["dense"] > 0 and calls["sparse"] == 0
+        # spreads of 2000 in every variable: a box of 4001^3 bits
+        far = LaurentPoly([(1000, 1000, 1000), (-1000, -1000, -1000)])
+        dense_calls = calls["dense"]
+        assert rank_frac_exact([[far, ONE], [T1, far]]) == 2
+        assert calls["dense"] == dense_calls and calls["sparse"] > 0
+
+    @pytest.mark.parametrize(
+        "divide, encode",
+        [
+            (gf2_divexact, lambda exps: sum(1 << e for e in exps)),
+            (packed_divexact, frozenset),
+        ],
+        ids=["dense", "sparse"],
+    )
+    def test_inexact_division_raises(self, divide, encode):
+        rng = random.Random(20240)
+        for _ in range(200):
+            a = rng.sample(range(40), rng.randint(1, 8))
+            b = rng.sample(range(12), rng.randint(2, 4))
+            quotient, rest = gf2_divmod(sum(1 << e for e in a), sum(1 << e for e in b))
+            if rest:
+                with pytest.raises(ValueError):
+                    divide(encode(a), encode(b))
+            else:
+                assert divide(encode(a), encode(b)) == encode(
+                    k for k in range(quotient.bit_length()) if quotient >> k & 1
+                )
+        # t^30001 + 1 over 1 + t + t^2: the primitive cube roots of unity
+        # are roots of the divisor only; a division from the low end
+        # without a stop would run on forever
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            divide(encode([30001, 0]), encode([2, 1, 0]))
+        assert time.perf_counter() - start < 5
 
 
 class TestNullspace:
