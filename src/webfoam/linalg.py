@@ -339,8 +339,6 @@ def gf16_inv(a: int) -> int:
 
 
 def _gf16_pow(a: int, n: int) -> int:
-    if n < 0:
-        return _gf16_pow(gf16_inv(a), -n)
     result = 1
     while n:
         if n & 1:
@@ -353,7 +351,11 @@ def _gf16_pow(a: int, n: int) -> int:
 def _eval_poly_gf16(
     p: LaurentPoly, point: tuple[int, int, int], powers: dict[tuple[int, int], int]
 ) -> int:
-    """Value of ``p`` at ``point``; ``powers`` caches the point's variable powers."""
+    """Value of ``p`` at ``point``; ``powers`` caches the point's variable powers.
+
+    ``powers[(i, -1)]`` is the inverse of ``point[i]``, so each coordinate
+    is inverted at most once per point.
+    """
     acc = 0
     for exps in p.terms:
         # powers of a nonzero point are nonzero, so 0 marks "no factor yet"
@@ -362,7 +364,12 @@ def _eval_poly_gf16(
             if e:
                 power = powers.get((i, e))
                 if power is None:
-                    power = powers[(i, e)] = _gf16_pow(point[i], e)
+                    base = point[i]
+                    if e < 0:
+                        base = powers.get((i, -1))
+                        if base is None:
+                            base = powers[(i, -1)] = gf16_inv(point[i])
+                    power = powers[(i, e)] = _gf16_pow(base, abs(e))
                 term = gf16_mul(term, power) if term else power
         acc ^= term or 1
     return acc

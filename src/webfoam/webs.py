@@ -487,150 +487,188 @@ def corpus_web(name: str) -> Web:
 # at a time.  The set of completions of a state depends only on its
 # isomorphism class, so states are deduplicated by a canonical certificate
 # and each isomorphism class of finished graphs is produced exactly once.
+# Each child is certified once, when it is made, and the certificate
+# travels with it: a finished graph is never certified again.
+#
+# The completed vertex is always joined to the one component of
+# non-isolated vertices (or starts it), so every state of the search has
+# a single such component, and a child is a dead end exactly when that
+# component is full while isolated vertices remain.
+#
+# Any permutation of the isolated (degree-0) vertices is an automorphism of
+# a state, so completing a vertex only ever uses the first isolated
+# partners, with nonincreasing multiplicities along them.  Every child
+# dropped by this rule is isomorphic to one that is kept, so the rule is
+# exact.
 
 
 class _State:
-    __slots__ = ("n", "loops", "mult")
+    """A partial multigraph: loop counts and, per vertex, neighbour -> multiplicity."""
 
-    def __init__(self, n: int, loops: tuple[int, ...], mult: tuple[tuple[int, ...], ...]):
-        self.n = n
+    __slots__ = ("loops", "adj", "deg")
+
+    def __init__(self, loops: tuple[int, ...], adj: tuple[dict[int, int], ...]):
         self.loops = loops
-        self.mult = mult
-
-    def degree(self, v: int) -> int:
-        return 2 * self.loops[v] + sum(self.mult[v])
+        self.adj = adj
+        self.deg = tuple([2 * k + sum(a.values()) for k, a in zip(loops, adj)])
 
     def with_completion(
         self, v: int, add_loop: bool, edge_counts: dict[int, int]
     ) -> "_State":
-        loops = list(self.loops)
+        """Add a loop and/or edges at ``v``; no partner is a neighbour yet."""
+        loops = self.loops
         if add_loop:
-            loops[v] += 1
-        mult = [list(row) for row in self.mult]
+            loops = loops[:v] + (loops[v] + 1,) + loops[v + 1 :]
+        adj = list(self.adj)
+        adj[v] = {**adj[v], **edge_counts}
         for u, c in edge_counts.items():
-            mult[v][u] += c
-            mult[u][v] += c
-        return _State(self.n, tuple(loops), tuple(tuple(row) for row in mult))
-
-
-def _components(state: _State) -> list[set[int]]:
-    seen: set[int] = set()
-    comps = []
-    for start in range(state.n):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            for y in range(state.n):
-                if y not in seen and state.mult[x][y]:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
-    return comps
+            adj[u] = {**adj[u], v: c}
+        return _State(loops, tuple(adj))
 
 
 def _dead_end(state: _State) -> bool:
-    """True when no completion of the state can be connected."""
-    comps = _components(state)
-    if len(comps) == 1:
-        return False
-    for comp in comps:
-        if len(comp) < state.n and all(state.degree(v) == 3 for v in comp):
-            return True
-    return False
+    """True when no completion of a search state can be connected.
+
+    Valid for the states of the search, whose non-isolated vertices form
+    one component: that component is full while isolated vertices remain.
+    """
+    return 0 in state.deg and all(d == 0 or d == 3 for d in state.deg)
 
 
 def _refine(
-    colors: list, adjacency: list[list[tuple[int, int]]]
-) -> list[int]:
-    """Color refinement; returns stable integer colors (canonical ranks)."""
-    n = len(colors)
-    current = list(colors)
-    while True:
-        signatures = []
-        for v in range(n):
-            neigh = sorted((m, current[u]) for u, m in adjacency[v])
-            signatures.append((current[v], tuple(neigh)))
-        ranking = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        fresh = [ranking[sig] for sig in signatures]
-        if fresh == current:
-            return fresh
-        current = fresh
+    colors: list[int], k: int, edges: list[tuple[int, int, int]]
+) -> tuple[list[int], int]:
+    """Color refinement of ``k`` ranked colors to an equitable partition.
+
+    Each round ranks the vertices by their color and the number of edges
+    they send into each color class, which depends on no vertex label.
+    A vertex sends at most 3 edges anywhere, so the counts pack into two
+    bits per class.  It stops as soon as the partition is discrete or a
+    round splits no cell.
+    """
+    m = len(colors)
+    shift = 2 * m
+    while k < m:
+        signature = [c << shift for c in colors]
+        for a, b, c in edges:
+            signature[a] += c << 2 * colors[b]
+            signature[b] += c << 2 * colors[a]
+        ranked = sorted(set(signature))
+        if len(ranked) == k:
+            break
+        rank = {sig: i for i, sig in enumerate(ranked)}
+        colors = [rank[sig] for sig in signature]
+        k = len(ranked)
+    return colors, k
 
 
-def _canon_component(
-    verts: list[int], state: _State
-) -> tuple:
-    """Canonical certificate of one connected component (individualization)."""
-    index = {v: i for i, v in enumerate(verts)}
-    m = len(verts)
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for i, v in enumerate(verts):
-        for w in verts:
-            if w != v and state.mult[v][w]:
-                adjacency[i].append((index[w], state.mult[v][w]))
+def _canonical_certificate(state: _State) -> tuple:
+    """A complete isomorphism invariant of the state, by individualization.
 
-    def encode(order: list[int]) -> tuple:
-        loops = tuple(state.loops[verts[v]] for v in order)
-        tri = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                tri.append(state.mult[verts[order[i]]][verts[order[j]]])
-        return (m, loops, tuple(tri))
+    Colors are integer ranks, starting from each vertex's loops and edge
+    multiplicities.  Swapping two twins (vertices with the same loops and
+    the same multiplicity to every other vertex) is an automorphism, so a
+    partition whose non-singleton cells all consist of twins encodes the
+    same way in every order; the search stops there.  Otherwise it
+    individualizes one vertex per twin class of the smallest other
+    non-singleton cell in turn and keeps the least encoding.  The
+    encoding is the loops in canonical order and one integer per vertex
+    pair, ``4 * (n * i + j) + multiplicity`` for positions ``i < j``.
+    """
+    loops, adj = state.loops, state.adj
+    n = len(loops)
+    edges = [(v, w, c) for v in range(n) for w, c in adj[v].items() if w > v]
+    init = [64 * k for k in loops]
+    for a, b, c in edges:
+        init[a] += 1 << 2 * c
+        init[b] += 1 << 2 * c
+    ranking = {key: i for i, key in enumerate(sorted(set(init)))}
 
-    def search(colors: list) -> tuple:
-        stable = _refine(colors, adjacency)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(stable):
-            cells.setdefault(c, []).append(v)
-        if all(len(cell) == 1 for cell in cells.values()):
-            order = sorted(range(m), key=lambda v: stable[v])
-            return encode(order)
-        target = min(c for c, cell in cells.items() if len(cell) > 1)
+    def twins(a: int, b: int) -> bool:
+        na, nb = adj[a], adj[b]
+        return (
+            loops[a] == loops[b]
+            and len(na) == len(nb)
+            and all(nb.get(x) == c for x, c in na.items() if x != b)
+        )
+
+    def search(colors: list[int], k: int) -> tuple:
+        colors, k = _refine(colors, k, edges)
+        cell = None
+        if k < n:
+            cells: dict[int, list[int]] = {}
+            for v, c in enumerate(colors):
+                cells.setdefault(c, []).append(v)
+            mixed = [
+                (len(members), c)
+                for c, members in cells.items()
+                if len(members) > 1
+                and not all(twins(members[0], u) for u in members[1:])
+            ]
+            if mixed:
+                cell = cells[min(mixed)[1]]
+        if cell is None:
+            pos = [0] * n
+            order = sorted(range(n), key=colors.__getitem__)
+            for i, v in enumerate(order):
+                pos[v] = i
+            code = []
+            for a, b, c in edges:
+                a, b = pos[a], pos[b]
+                code.append(4 * (n * a + b) + c if a < b else 4 * (n * b + a) + c)
+            code.sort()
+            return (tuple(loops[v] for v in order), tuple(code))
+        target = colors[cell[0]]
         best = None
-        for v in cells[target]:
-            branched = [(0, c) if u == v else (1, c) for u, c in enumerate(stable)]
-            cert = search(branched)
+        reps: list[int] = []
+        for v in cell:
+            if any(twins(v, r) for r in reps):
+                continue
+            reps.append(v)
+            branched = [c + 1 if c > target else c for c in colors]
+            for u in cell:
+                if u != v:
+                    branched[u] = target + 1
+            cert = search(branched, k + 1)
             if best is None or cert < best:
                 best = cert
         return best
 
-    init = [(state.degree(v), state.loops[v]) for v in verts]
-    return search(list(init))
+    return search([ranking[key] for key in init], len(ranking))
 
 
-def _canonical_certificate(state: _State) -> tuple:
-    comps = _components(state)
-    isolated = sum(1 for c in comps if len(c) == 1 and state.degree(next(iter(c))) == 0)
-    certs = sorted(
-        _canon_component(sorted(c), state)
-        for c in comps
-        if not (len(c) == 1 and state.degree(next(iter(c))) == 0)
-    )
-    return (state.n, isolated, tuple(certs))
+def _next_vertex(state: _State) -> int:
+    """The vertex to complete: a deficient one of largest positive degree."""
+    deg = state.deg
+    anchored = [u for u in range(len(deg)) if 0 < deg[u] < 3]
+    return max(anchored, key=deg.__getitem__) if anchored else deg.index(0)
 
 
 def _completions(state: _State, v: int) -> Iterator[_State]:
-    deficit = 3 - state.degree(v)
-    partners = [
-        u for u in range(state.n) if u != v and state.degree(u) < 3
-    ]
+    """Children of ``state`` completing ``v``, isolated partners restricted.
+
+    Only the first ``deficit`` isolated vertices are offered, and their
+    multiplicities must not increase along them.
+    """
+    deg = state.deg
+    n = len(deg)
+    deficit = 3 - deg[v]
+    isolated = [u for u in range(n) if deg[u] == 0 and u != v][:deficit]
+    partners = [u for u in range(n) if u != v and 0 < deg[u] < 3] + isolated
+    bound = {u: prev for prev, u in zip(isolated, isolated[1:])}
 
     def choose(remaining: int, start: int, counts: dict[int, int], used_loop: bool):
         if remaining == 0:
-            yield state.with_completion(v, used_loop, dict(counts))
+            yield state.with_completion(v, used_loop, counts)
             return
         if not used_loop and not counts and state.loops[v] == 0 and remaining >= 2:
             yield from choose(remaining - 2, 0, counts, True)
         for k in range(start, len(partners)):
             u = partners[k]
-            capacity = 3 - state.degree(u)
             already = counts.get(u, 0)
-            if already >= capacity:
+            if already >= 3 - deg[u]:
+                continue
+            if u in bound and already >= counts.get(bound[u], 0):
                 continue
             counts[u] = already + 1
             yield from choose(remaining - 1, k, counts, used_loop)
@@ -648,44 +686,35 @@ def generate_connected_cubic(n: int) -> tuple[Web, ...]:
 
     Loops and parallel edges are allowed.  ``n`` must be even (the sum
     of valences is 3n).  Graphs are returned as webs with deterministic
-    vertex and edge names.
+    vertex and edge names, in the order of their canonical certificates.
     """
     if n <= 0 or n % 2:
         raise ValueError("a cubic multigraph needs a positive even vertex count")
-    start = _State(n, (0,) * n, tuple((0,) * n for _ in range(n)))
-    seen = {_canonical_certificate(start)}
-    queue = [start]
+    queue = [_State((0,) * n, ({},) * n)]
+    seen: set[tuple] = set()
     finals: dict[tuple, _State] = {}
     while queue:
         state = queue.pop()
-        deficient = [v for v in range(n) if state.degree(v) < 3]
-        if not deficient:
-            if len(_components(state)) == 1:
-                finals.setdefault(_canonical_certificate(state), state)
-            continue
-        anchored = [v for v in deficient if state.degree(v) > 0]
-        v = max(anchored, key=state.degree) if anchored else deficient[0]
-        for child in _completions(state, v):
+        for child in _completions(state, _next_vertex(state)):
             if _dead_end(child):
                 continue
             cert = _canonical_certificate(child)
-            if cert not in seen:
-                seen.add(cert)
+            if cert in seen:
+                continue
+            seen.add(cert)
+            if min(child.deg) == 3:
+                finals[cert] = child
+            else:
                 queue.append(child)
 
+    vertices = tuple(f"v{i}" for i in range(n))
     webs = []
     for idx, (_, state) in enumerate(sorted(finals.items())):
-        vertices = tuple(f"v{i}" for i in range(n))
-        edges = []
-        counter = 0
+        ends = [(f"v{i}",) for i in range(n) if state.loops[i]]
         for i in range(n):
-            if state.loops[i]:
-                edges.append(Edge(f"e{counter}", (f"v{i}",)))
-                counter += 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                for _ in range(state.mult[i][j]):
-                    edges.append(Edge(f"e{counter}", (f"v{i}", f"v{j}")))
-                    counter += 1
-        webs.append(Web(f"cubic{n}-{idx}", vertices, tuple(edges)))
+            for j, c in sorted(state.adj[i].items()):
+                if j > i:
+                    ends.extend([(f"v{i}", f"v{j}")] * c)
+        edges = tuple(Edge(f"e{k}", e) for k, e in enumerate(ends))
+        webs.append(Web(f"cubic{n}-{idx}", vertices, edges))
     return tuple(webs)

@@ -1,7 +1,13 @@
 """Web validation, 1-sets, cycles, Tait counts, JSON I/O, and generation."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -352,6 +358,96 @@ def web_isomorphic(w1: Web, w2: Web) -> bool:
     )
 
 
+def web_matrix(web: Web) -> tuple[list[int], list[list[int]]]:
+    """Loop counts and the multiplicity matrix of a web, in vertex order."""
+    n = len(web.vertices)
+    index = {v: i for i, v in enumerate(web.vertices)}
+    loops = [0] * n
+    mult = [[0] * n for _ in range(n)]
+    for e in web.edges:
+        if e.kind == "loop":
+            loops[index[e.ends[0]]] += 1
+        else:
+            i, j = index[e.ends[0]], index[e.ends[1]]
+            mult[i][j] += 1
+            mult[j][i] += 1
+    return loops, mult
+
+
+def make_state(loops, mult) -> "webs._State":
+    n = len(loops)
+    adj = tuple({j: mult[i][j] for j in range(n) if mult[i][j]} for i in range(n))
+    return webs._State(tuple(loops), adj)
+
+
+def random_partial_state(rng: random.Random, n: int):
+    """Random loops and edges with every degree at most 3."""
+    loops = [0] * n
+    mult = [[0] * n for _ in range(n)]
+    deg = [0] * n
+    for _ in range(rng.randint(0, 2 * n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a == b and deg[a] <= 1:
+            loops[a] += 1
+            deg[a] += 2
+        elif a != b and deg[a] < 3 and deg[b] < 3:
+            mult[a][b] += 1
+            mult[b][a] += 1
+            deg[a] += 1
+            deg[b] += 1
+    return loops, mult
+
+
+def state_nx(loops, mult) -> nx.Graph:
+    g = nx.Graph()
+    for i, k in enumerate(loops):
+        g.add_node(i, loops=k)
+    for i, row in enumerate(mult):
+        for j, m in enumerate(row):
+            if j > i and m:
+                g.add_edge(i, j, m=m)
+    return g
+
+
+def partial_shape(loops, mult) -> tuple[int, int, bool]:
+    """Isolated vertices, components with an edge or loop, and any loop."""
+    g = state_nx(loops, mult)
+    comps = [c for c in nx.connected_components(g)
+             if len(c) > 1 or loops[next(iter(c))]]
+    isolated = sum(1 for v in g if g.degree(v) == 0 and not loops[v])
+    return isolated, len(comps), any(loops)
+
+
+def expanded_states(n: int):
+    """Every state the generator expands, found by the same search."""
+    queue = [webs._State((0,) * n, ({},) * n)]
+    seen = set()
+    while queue:
+        state = queue.pop()
+        yield state
+        for child in webs._completions(state, webs._next_vertex(state)):
+            if webs._dead_end(child) or min(child.deg) == 3:
+                continue
+            cert = webs._canonical_certificate(child)
+            if cert not in seen:
+                seen.add(cert)
+                queue.append(child)
+
+
+def all_completions(state: "webs._State", v: int):
+    """Every way to bring ``v`` to valence 3, with no symmetry breaking."""
+    deg = state.deg
+    partners = [u for u in range(len(deg)) if u != v and deg[u] < 3]
+    deficit = 3 - deg[v]
+    loop_options = [False, True] if deficit >= 2 and not state.loops[v] else [False]
+    for add_loop in loop_options:
+        ends = deficit - 2 * add_loop
+        for combo in itertools.combinations_with_replacement(partners, ends):
+            counts = Counter(combo)
+            if all(c <= 3 - deg[u] for u, c in counts.items()):
+                yield state.with_completion(v, add_loop, dict(counts))
+
+
 class TestGeneration:
     def test_known_counts(self):
         # connected cubic multigraphs with loops on 2..12 vertices (OEIS
@@ -377,41 +473,86 @@ class TestGeneration:
             assert nx.is_connected(g)
 
     def test_pairwise_non_isomorphic(self):
-        graphs = generate_connected_cubic(6)
-        for w1, w2 in itertools.combinations(graphs, 2):
-            assert not web_isomorphic(w1, w2)
+        for n in (6, 8):
+            graphs = generate_connected_cubic(n)
+            for w1, w2 in itertools.combinations(graphs, 2):
+                assert not web_isomorphic(w1, w2)
 
     def test_certificate_invariant_under_relabeling(self):
-        # relabel generated graphs at random; the canonical certificate of
-        # the permuted multiplicity structure must not change
+        # relabel generated graphs and random partial states (isolated
+        # vertices, loops, several components) at random; the canonical
+        # certificate must not change
         rng = random.Random(7)
-        for web in generate_connected_cubic(8)[::5]:
-            n = len(web.vertices)
-            index = {v: i for i, v in enumerate(web.vertices)}
-            loops = [0] * n
-            mult = [[0] * n for _ in range(n)]
-            for e in web.edges:
-                if e.kind == "loop":
-                    loops[index[e.ends[0]]] += 1
-                else:
-                    i, j = index[e.ends[0]], index[e.ends[1]]
-                    mult[i][j] += 1
-                    mult[j][i] += 1
-            base = webs._State(
-                n, tuple(loops), tuple(tuple(row) for row in mult)
-            )
-            reference = webs._canonical_certificate(base)
+        samples = [web_matrix(web) for web in generate_connected_cubic(8)[::5]]
+        samples += [random_partial_state(rng, rng.randint(1, 10)) for _ in range(60)]
+        shapes = [partial_shape(loops, mult) for loops, mult in samples]
+        assert any(iso >= 3 for iso, _, _ in shapes)
+        assert any(comps >= 2 for _, comps, _ in shapes)
+        assert any(has_loop for _, _, has_loop in shapes)
+        for loops, mult in samples:
+            reference = webs._canonical_certificate(make_state(loops, mult))
+            n = len(loops)
             for _ in range(5):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                ploop = [loops[perm[i]] for i in range(n)]
-                pmult = [
-                    [mult[perm[i]][perm[j]] for j in range(n)] for i in range(n)
-                ]
-                permuted = webs._State(
-                    n, tuple(ploop), tuple(tuple(row) for row in pmult)
-                )
+                ploops = [loops[perm[i]] for i in range(n)]
+                pmult = [[mult[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+                permuted = make_state(ploops, pmult)
                 assert webs._canonical_certificate(permuted) == reference
+
+    def test_certificate_separates_non_isomorphic_states(self):
+        # on small random partial states, equal certificates exactly when
+        # networkx finds an isomorphism preserving loops and multiplicities
+        rng = random.Random(11)
+        samples = [random_partial_state(rng, 5) for _ in range(50)]
+        certs = [webs._canonical_certificate(make_state(*s)) for s in samples]
+        graphs = [state_nx(*s) for s in samples]
+        for i, j in itertools.combinations(range(len(samples)), 2):
+            iso = nx.is_isomorphic(
+                graphs[i], graphs[j],
+                node_match=lambda a, b: a["loops"] == b["loops"],
+                edge_match=lambda a, b: a["m"] == b["m"],
+            )
+            assert (certs[i] == certs[j]) == iso
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_isolated_partner_rule_is_exact(self, n):
+        # on every state the search expands, the restricted completions
+        # reach the same isomorphism classes as all completions
+        isolated_counts = set()
+        for state in expanded_states(n):
+            isolated_counts.add(state.deg.count(0))
+            v = webs._next_vertex(state)
+            restricted = {
+                webs._canonical_certificate(child)
+                for child in webs._completions(state, v)
+            }
+            unrestricted = {
+                webs._canonical_certificate(child)
+                for child in all_completions(state, v)
+            }
+            assert restricted == unrestricted
+        # the empty state, and others with three or more isolated vertices
+        assert n in isolated_counts
+        assert any(3 <= k < n for k in isolated_counts)
+
+    def test_same_output_under_any_hash_seed(self):
+        src = str(Path(webs.__file__).resolve().parents[1])
+        script = (
+            "import json\n"
+            "from webfoam.webs import generate_connected_cubic, web_to_dict\n"
+            "print(json.dumps([web_to_dict(w) for w in generate_connected_cubic(8)]))\n"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, check=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])) == 71
 
     def test_includes_simple_cubic_graphs(self):
         # the 6-vertex layer must contain K4 minus... i.e. K_{3,3} and the
