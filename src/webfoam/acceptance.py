@@ -180,7 +180,8 @@ def check_unknot_model(ctx: CheckContext) -> Outcome:
     u = module.operator("e")
     pinned = [[ZERO, ZERO, ZERO], [ONE, ZERO, P], [ZERO, ONE, ZERO]]
     _fail(problems, u == pinned, "operator matrix differs from the pinned model")
-    _fail(problems, operators._cubic_relation_holds(u), "u^3 + P*u != 0")
+    for name, ok in operators.check_vertex_relations(module):
+        _fail(problems, ok, f"relation failed: {name}")
     rank_u = linalg.fraction_rank(u)
     _fail(problems, rank_u == 2, f"image rank {rank_u} != 2")
     kernel = linalg.nullspace_frac(u)

@@ -289,12 +289,7 @@ def _cmd_ops(args: argparse.Namespace) -> int:
                 lines.append("  [" + ", ".join(row) + "]")
 
     if args.check:
-        checks: list[tuple[str, bool]] = []
-        if vertex is not None:
-            checks.extend(operators.check_vertex_relations(module, vertex))
-        else:
-            ok = operators._cubic_relation_holds(module.operator("e"))
-            checks.append(("e^3 + P*e = 0", ok))
+        checks = operators.check_vertex_relations(module, vertex)
         report["checks"] = dict(checks)
         lines.extend(_status_line(ok, name) for name, ok in checks)
         failed |= not all(ok for _, ok in checks)

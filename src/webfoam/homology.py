@@ -95,6 +95,8 @@ class DifferentialModule:
     The exact (Bareiss) rank is computed once, on the first
     :meth:`frac_rank` request, and the randomized GF(2^16) cross-check
     runs once for each distinct seed passed to :meth:`frac_rank`.
+    ``two_term``, when set, is ``(rows, cols, a)`` for a map ``a`` whose
+    mapping cone is the differential (:meth:`from_map`).
     """
 
     __slots__ = ("rank", "differential", "two_term", "_exact_rank", "_checked_seeds")
@@ -150,11 +152,15 @@ class DifferentialModule:
         return self.rank - 2 * self._exact_rank
 
     def two_term_ranks(self, seed: int = 0) -> tuple[int, int]:
-        """(kernel rank, cokernel rank) of the underlying map over Frac(R)."""
+        """(kernel rank, cokernel rank) of the underlying map over Frac(R).
+
+        The differential is the mapping cone of the map, so both have the
+        same rank, read off :meth:`frac_rank` with its memo and cross-check.
+        """
         if self.two_term is None:
             raise ValueError("module was not built from a two-term map")
-        rows, cols, a = self.two_term
-        rank_a = linalg.fraction_rank(a, seed=seed)
+        rows, cols, _ = self.two_term
+        rank_a = (self.rank - self.frac_rank(seed)) // 2
         return cols - rank_a, rows - rank_a
 
     def f2_dim(self) -> int:

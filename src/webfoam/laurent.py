@@ -58,7 +58,6 @@ __all__ = [
     "packed_mul",
     "packed_divexact",
     "gf2_mul",
-    "gf2_divmod",
     "gf2_divexact",
     "gf2_exponents",
     "gf2_from_exponents",
@@ -509,19 +508,6 @@ def gf2_mul(a: int, b: int) -> int:
         result ^= b << (low.bit_length() - 1)
         a ^= low
     return result
-
-
-def gf2_divmod(a: int, b: int) -> tuple[int, int]:
-    """Quotient and remainder in F2[t]."""
-    if b == 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    db = b.bit_length()
-    quot = 0
-    while a.bit_length() >= db:
-        shift = a.bit_length() - db
-        quot ^= 1 << shift
-        a ^= b << shift
-    return quot, a
 
 
 def gf2_divexact(a: int, b: int) -> int:

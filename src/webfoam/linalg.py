@@ -9,7 +9,10 @@ entries.  Everything here is exact:
   over Frac(R), determinants, unimodular solves and fraction-field null
   spaces are all read off its output;
 * a cross-checking randomized rank that evaluates the matrix at random
-  points of GF(2^16) and eliminates over that field (Schwartz-Zippel);
+  points of GF(2^16) and eliminates over that field (Schwartz-Zippel).
+  All field arithmetic goes through one pair of discrete-log tables:
+  each point is held by the logs of its coordinates, so a monomial
+  evaluates with one lookup, negative exponents included;
 * adjugates by cofactors, kept as an oracle independent of the kernel;
 * the exponents of the Smith form over the local ring F2[t]_(t), for
   torsion analysis of specialized differentials.
@@ -38,6 +41,7 @@ share).
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Sequence
 
 from .errors import InternalConsistencyError
@@ -46,7 +50,6 @@ from .laurent import (
     ONE,
     ZERO,
     gf2_divexact,
-    gf2_divmod,
     gf2_exponents,
     gf2_from_exponents,
     gf2_mul,
@@ -307,71 +310,65 @@ def nullspace_frac(mat: Sequence[Sequence[LaurentPoly]]) -> list[list[LaurentPol
 # GF(2^16) arithmetic and the randomized rank.
 # ---------------------------------------------------------------------------
 
-#: x^16 + x^12 + x^3 + x + 1, irreducible over GF(2) (verified in tests).
+#: x^16 + x^12 + x^3 + x + 1, irreducible over GF(2) and with x primitive
+#: (both verified in tests), so every nonzero element is a power of x.
 GF2_16_MODULUS = (1 << 16) | (1 << 12) | (1 << 3) | (1 << 1) | 1
 
 _GF_BITS = 16
+#: Order of the multiplicative group of GF(2^16).
+_GF_ORDER = (1 << _GF_BITS) - 1
+
+#: ``_GF_EXP[i] = x^i`` for ``i < 2 * _GF_ORDER`` and ``_GF_LOG[x^i] = i``.
+#: Built on first use by :func:`_build_gf_tables` (about 25 ms), so that
+#: importing the package costs nothing; unsigned 16-bit arrays keep the
+#: pair at 384 KB.
+_GF_EXP = array("H")
+_GF_LOG = array("H")
 
 
-def gf16_mul(a: int, b: int) -> int:
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        b >>= 1
+def _build_gf_tables() -> None:
+    global _GF_EXP, _GF_LOG
+    exp = array("H", [0]) * (2 * _GF_ORDER)
+    log = array("H", [0]) * (1 << _GF_BITS)
+    a = 1
+    for i in range(_GF_ORDER):
+        exp[i] = exp[i + _GF_ORDER] = a
+        log[a] = i
         a <<= 1
         if a >> _GF_BITS:
             a ^= GF2_16_MODULUS
-    return result
+    # callers test _GF_EXP, so it is bound last: once it is nonempty,
+    # both tables are whole
+    _GF_LOG = log
+    _GF_EXP = exp
+
+
+def gf16_mul(a: int, b: int) -> int:
+    if not (a and b):
+        return 0
+    if not _GF_EXP:
+        _build_gf_tables()
+    return _GF_EXP[_GF_LOG[a] + _GF_LOG[b]]
 
 
 def gf16_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("inverse of 0 in GF(2^16)")
-    # extended Euclid on bit-packed polynomials
-    r0, r1 = GF2_16_MODULUS, a
-    s0, s1 = 0, 1
-    while r1 != 1:
-        q, r = gf2_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 ^ gf2_mul(q, s1)
-    return gf2_divmod(s1, GF2_16_MODULUS)[1]
+    if not _GF_EXP:
+        _build_gf_tables()
+    return _GF_EXP[_GF_ORDER - _GF_LOG[a]]
 
 
-def _gf16_pow(a: int, n: int) -> int:
-    result = 1
-    while n:
-        if n & 1:
-            result = gf16_mul(result, a)
-        a = gf16_mul(a, a)
-        n >>= 1
-    return result
+def _eval_poly_gf16(p: LaurentPoly, logs: tuple[int, int, int]) -> int:
+    """Value of ``p`` at the point (x^l1, x^l2, x^l3), given as its ``logs``.
 
-
-def _eval_poly_gf16(
-    p: LaurentPoly, point: tuple[int, int, int], powers: dict[tuple[int, int], int]
-) -> int:
-    """Value of ``p`` at ``point``; ``powers`` caches the point's variable powers.
-
-    ``powers[(i, -1)]`` is the inverse of ``point[i]``, so each coordinate
-    is inverted at most once per point.
+    The monomial T^e takes the value x^(l1*e1 + l2*e2 + l3*e3), so each
+    term is one table lookup and negative exponents need no inverse.
     """
+    l1, l2, l3 = logs
     acc = 0
-    for exps in p.terms:
-        # powers of a nonzero point are nonzero, so 0 marks "no factor yet"
-        term = 0
-        for i, e in enumerate(exps):
-            if e:
-                power = powers.get((i, e))
-                if power is None:
-                    base = point[i]
-                    if e < 0:
-                        base = powers.get((i, -1))
-                        if base is None:
-                            base = powers[(i, -1)] = gf16_inv(point[i])
-                    power = powers[(i, e)] = _gf16_pow(base, abs(e))
-                term = gf16_mul(term, power) if term else power
-        acc ^= term or 1
+    for e1, e2, e3 in p.terms:
+        acc ^= _GF_EXP[(l1 * e1 + l2 * e2 + l3 * e3) % _GF_ORDER]
     return acc
 
 
@@ -399,26 +396,21 @@ def _rank_gf16(rows: list[list[int]]) -> int:
 
 
 def rank_frac_randomized(
-    mat: Sequence[Sequence[LaurentPoly]],
-    rng: random.Random,
-    trials: int = RANDOM_RANK_TRIALS,
+    mat: Sequence[Sequence[LaurentPoly]], rng: random.Random
 ) -> int:
     """Rank by evaluation at random nonzero points of GF(2^16).
 
-    Evaluation can only lower the rank, so the maximum over independent
-    trials is reported.
+    Evaluation can only lower the rank, so the maximum over
+    :data:`RANDOM_RANK_TRIALS` independent trials is reported.
     """
     if not mat or not mat[0]:
         return 0
+    if not _GF_EXP:
+        _build_gf_tables()
     best = 0
-    for _ in range(trials):
-        point = (
-            rng.randrange(1, 1 << _GF_BITS),
-            rng.randrange(1, 1 << _GF_BITS),
-            rng.randrange(1, 1 << _GF_BITS),
-        )
-        powers: dict[tuple[int, int], int] = {}
-        evaluated = [[_eval_poly_gf16(x, point, powers) for x in row] for row in mat]
+    for _ in range(RANDOM_RANK_TRIALS):
+        logs = tuple(_GF_LOG[rng.randrange(1, 1 << _GF_BITS)] for _ in range(3))
+        evaluated = [[_eval_poly_gf16(x, logs) for x in row] for row in mat]
         best = max(best, _rank_gf16(evaluated))
     return best
 

@@ -60,8 +60,8 @@ class OperatorModule:
     def check_relations(self) -> None:
         """Cubic relation and pairwise commutation, as exact identities."""
         named = sorted(self.operators.items())
-        for name, u in named:
-            if not _cubic_relation_holds(u):
+        for (name, _), (_, ok) in zip(named, check_vertex_relations(self)):
+            if not ok:
                 raise InternalConsistencyError(
                     f"operator {name!r} violates u^3 + P*u = 0"
                 )
@@ -133,50 +133,51 @@ def _check_theta_relations(module: OperatorModule) -> None:
             raise InternalConsistencyError(f"theta operators violate {name}")
 
 
-def _cubic_relation_holds(u: Matrix) -> bool:
-    """The cubic relation u^3 + P*u = 0, as an exact identity."""
-    cubic = linalg.mat_add(
-        linalg.mat_mul(linalg.mat_mul(u, u), u), linalg.mat_scale(P, u)
-    )
-    return linalg.is_zero_matrix(cubic)
-
-
 def check_vertex_relations(
-    module: OperatorModule, incident: tuple[str, str, str]
+    module: OperatorModule, incident: tuple[str, str, str] | None = None
 ) -> tuple[tuple[str, bool], ...]:
     """Verify the vertex relations for three incident edge operators.
 
     Returns ``(label, holds)`` pairs: the three vertex relations, then
-    the cubic relation of each operator.
+    the cubic relation u^3 + P*u = 0 of each operator.  Without a triple,
+    only the cubic relation is checked, for every operator of the module
+    in name order.
 
     At a trivalent vertex an edge can appear at most twice (a loop), so a
     triple naming the same edge three times is rejected as ill-typed.
     """
-    if len(incident) != 3:
-        raise ValueError("expected exactly three incident edge ids")
-    if len(set(incident)) == 1:
-        raise ValueError(
-            f"edge {incident[0]!r} cannot account for all three incidences "
-            "of a trivalent vertex"
-        )
-    missing = [e for e in incident if e not in module.operators]
-    if missing:
-        raise ValueError(f"module has no operator named {missing[0]!r}")
-    u1, u2, u3 = (module.operator(e) for e in incident)
-    ident = linalg.identity(module.rank)
-
     checks = []
-    total = linalg.mat_add(linalg.mat_add(u1, u2), u3)
-    checks.append(("u1 + u2 + u3 = 0", linalg.is_zero_matrix(total)))
-    w2 = linalg.mat_add(
-        linalg.mat_add(linalg.mat_mul(u2, u3), linalg.mat_mul(u3, u1)),
-        linalg.mat_mul(u1, u2),
-    )
-    checks.append(("u2*u3 + u3*u1 + u1*u2 = P", w2 == linalg.mat_scale(P, ident)))
-    triple = linalg.mat_mul(linalg.mat_mul(u1, u2), u3)
-    checks.append(("u1*u2*u3 = 0", linalg.is_zero_matrix(triple)))
-    for name, u in zip(incident, (u1, u2, u3)):
-        checks.append((f"{name}^3 + P*{name} = 0", _cubic_relation_holds(u)))
+    if incident is None:
+        names = sorted(module.operators)
+    else:
+        if len(incident) != 3:
+            raise ValueError("expected exactly three incident edge ids")
+        if len(set(incident)) == 1:
+            raise ValueError(
+                f"edge {incident[0]!r} cannot account for all three incidences "
+                "of a trivalent vertex"
+            )
+        missing = [e for e in incident if e not in module.operators]
+        if missing:
+            raise ValueError(f"module has no operator named {missing[0]!r}")
+        names = incident
+        u1, u2, u3 = (module.operator(e) for e in incident)
+        ident = linalg.identity(module.rank)
+        total = linalg.mat_add(linalg.mat_add(u1, u2), u3)
+        checks.append(("u1 + u2 + u3 = 0", linalg.is_zero_matrix(total)))
+        w2 = linalg.mat_add(
+            linalg.mat_add(linalg.mat_mul(u2, u3), linalg.mat_mul(u3, u1)),
+            linalg.mat_mul(u1, u2),
+        )
+        checks.append(("u2*u3 + u3*u1 + u1*u2 = P", w2 == linalg.mat_scale(P, ident)))
+        triple = linalg.mat_mul(linalg.mat_mul(u1, u2), u3)
+        checks.append(("u1*u2*u3 = 0", linalg.is_zero_matrix(triple)))
+    for name in names:
+        u = module.operator(name)
+        cubic = linalg.mat_add(
+            linalg.mat_mul(linalg.mat_mul(u, u), u), linalg.mat_scale(P, u)
+        )
+        checks.append((f"{name}^3 + P*{name} = 0", linalg.is_zero_matrix(cubic)))
     return tuple(checks)
 
 

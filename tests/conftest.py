@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from webfoam.laurent import LaurentPoly, gf2_divmod, gf2_mul
+from webfoam.laurent import LaurentPoly, gf2_mul
+from webfoam.linalg import GF2_16_MODULUS
 
 settings.register_profile(
     "default",
@@ -32,6 +33,19 @@ def is_monomial(p: LaurentPoly) -> bool:
     return len(p.terms) == 1
 
 
+def gf2_divmod(a: int, b: int) -> tuple[int, int]:
+    """Quotient and remainder in F2[t]."""
+    if b == 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    db = b.bit_length()
+    quot = 0
+    while a.bit_length() >= db:
+        shift = a.bit_length() - db
+        quot ^= 1 << shift
+        a ^= b << shift
+    return quot, a
+
+
 def gf2_gcd(a: int, b: int) -> int:
     """Greatest common divisor in F2[t], by Euclid's algorithm."""
     while b:
@@ -47,6 +61,19 @@ def gf2_pow(a: int, n: int) -> int:
             result = gf2_mul(result, a)
         a = gf2_mul(a, a)
         n >>= 1
+    return result
+
+
+def gf16_mul_reference(a: int, b: int) -> int:
+    """Product in GF(2^16), by shift-and-add with reduction at each step."""
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        b >>= 1
+        a <<= 1
+        if a >> 16:
+            a ^= GF2_16_MODULUS
     return result
 
 

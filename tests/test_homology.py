@@ -5,7 +5,7 @@ import pytest
 from conftest import random_poly
 from webfoam.errors import InputError, InternalConsistencyError, ValidationError
 from webfoam.laurent import ONE, P, T1, T2, ZERO
-from webfoam import linalg
+from webfoam import cli, linalg
 from webfoam.homology import (
     DIRECTIONS,
     DifferentialModule,
@@ -94,6 +94,14 @@ class TestRankMemo:
         assert calls == {"exact": 1, "randomized": 2}
         assert all(rep.frac_rank == first for rep in reports)
         assert first == random_complex(7, 9).frac_rank(seed=5)
+
+    def test_cone_analysis_makes_one_exact_rank_call(self, monkeypatch, capsys):
+        calls = self.count_rank_calls(monkeypatch)
+        assert cli.main(["complex", "cone-p", "--seed", "5"]) == 0
+        assert "two-term map: kernel rank 0, cokernel rank 0" in capsys.readouterr().out
+        # bockstein cross-checks at seed 0 and the analysis at seed 5; the
+        # two-term ranks reuse the differential's rank
+        assert calls == {"exact": 1, "randomized": 2}
 
     def test_fresh_seed_is_still_cross_checked(self, monkeypatch):
         module = cone_of_p()

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import gf2_gcd, gf2_pow, is_monomial
+from conftest import gf2_divmod, gf2_gcd, gf2_pow, is_monomial
 from webfoam.laurent import (
     LaurentPoly,
     MAX_PARSED_EXPONENT,
@@ -18,7 +18,6 @@ from webfoam.laurent import (
     ZERO,
     eval_at_ones,
     format_line_image,
-    gf2_divmod,
     gf2_mul,
     gf2_mul_one_plus_t_pow,
     gf2_valuation,

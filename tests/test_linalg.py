@@ -1,13 +1,15 @@
 """Exact/randomized rank agreement, determinants, null spaces, and local Smith form."""
 
+import functools
 import itertools
 import random
 import time
 
 import pytest
 
-from conftest import gf2_gcd, random_poly
+from conftest import gf16_mul_reference, gf2_divmod, gf2_gcd, random_poly
 from webfoam.errors import InternalConsistencyError
+from webfoam.homology import random_complex
 from webfoam.laurent import (
     LaurentPoly,
     ONE,
@@ -15,7 +17,6 @@ from webfoam.laurent import (
     T1,
     ZERO,
     gf2_divexact,
-    gf2_divmod,
     gf2_mul,
     gf2_valuation,
     packed_divexact,
@@ -39,33 +40,112 @@ from webfoam.linalg import (
 )
 
 
+def gf16_pow_reference(a: int, n: int) -> int:
+    """a^n in GF(2^16) for n >= 0, by square-and-multiply on the bit loop."""
+    result = 1
+    while n:
+        if n & 1:
+            result = gf16_mul_reference(result, a)
+        a = gf16_mul_reference(a, a)
+        n >>= 1
+    return result
+
+
+@functools.cache
+def power_reference(a: int, e: int) -> int:
+    """a^e in GF(2^16) for nonzero a, inverting by a^(2^16 - 2)."""
+    if e < 0:
+        a, e = gf16_pow_reference(a, (1 << 16) - 2), -e
+    return gf16_pow_reference(a, e)
+
+
+def eval_reference(p: LaurentPoly, point: tuple[int, int, int]) -> int:
+    """Value of ``p`` at a nonzero point, term by term."""
+    acc = 0
+    for exps in p.terms:
+        term = 1
+        for a, e in zip(point, exps):
+            term = gf16_mul_reference(term, power_reference(a, e))
+        acc ^= term
+    return acc
+
+
 class TestGF16:
+    @staticmethod
+    def pow_mod(base, n, mod):
+        result = 1
+        while n:
+            if n & 1:
+                result = gf2_divmod(gf2_mul(result, base), mod)[1]
+            base = gf2_divmod(gf2_mul(base, base), mod)[1]
+            n >>= 1
+        return result
+
     def test_modulus_is_irreducible(self):
         # x^(2^16) == x mod f, and gcd(x^(2^8) + x, f) = 1: no factor of
         # degree dividing 16 except 16 itself.
-        def pow_mod(base, n, mod):
-            result = 1
-            while n:
-                if n & 1:
-                    result = gf2_divmod(gf2_mul(result, base), mod)[1]
-                base = gf2_divmod(gf2_mul(base, base), mod)[1]
-                n >>= 1
-            return result
-
-        x16 = pow_mod(0b10, 1 << 16, GF2_16_MODULUS)
+        x16 = self.pow_mod(0b10, 1 << 16, GF2_16_MODULUS)
         assert x16 == 0b10
-        x8 = pow_mod(0b10, 1 << 8, GF2_16_MODULUS)
+        x8 = self.pow_mod(0b10, 1 << 8, GF2_16_MODULUS)
         assert gf2_gcd(x8 ^ 0b10, GF2_16_MODULUS) == 1
 
-    def test_field_inverses(self, rng):
-        for _ in range(200):
-            a = rng.randrange(1, 1 << 16)
-            assert gf16_mul(a, gf16_inv(a)) == 1
+    def test_x_is_primitive(self):
+        # 65535 = 3 * 5 * 17 * 257, so x generates the multiplicative
+        # group exactly when x^(65535/p) != 1 for each prime p
+        order = (1 << 16) - 1
+        assert 3 * 5 * 17 * 257 == order
+        assert self.pow_mod(0b10, order, GF2_16_MODULUS) == 1
+        for p in (3, 5, 17, 257):
+            assert self.pow_mod(0b10, order // p, GF2_16_MODULUS) != 1
+
+    def test_mul_matches_the_bit_loop(self, rng):
+        pairs = [(rng.randrange(0, 1 << 16), rng.randrange(0, 1 << 16)) for _ in range(2000)]
+        pairs += [(0, 0), (0, 1), (1, 0), (0, 0xFFFF), (0xFFFF, 0), (1, 1), (0xFFFF, 0xFFFF)]
+        pairs += [(0, rng.randrange(1, 1 << 16)) for _ in range(20)]
+        pairs += [(rng.randrange(1, 1 << 16), 0) for _ in range(20)]
+        for a, b in pairs:
+            assert gf16_mul(a, b) == gf16_mul_reference(a, b), (a, b)
+
+    def test_field_inverses(self):
+        for a in range(1, 1 << 16):
+            assert gf16_mul_reference(a, gf16_inv(a)) == 1, a
+        with pytest.raises(ZeroDivisionError):
+            gf16_inv(0)
 
     def test_distributivity_sample(self, rng):
         for _ in range(100):
             a, b, c = (rng.randrange(0, 1 << 16) for _ in range(3))
             assert gf16_mul(a, b ^ c) == gf16_mul(a, b) ^ gf16_mul(a, c)
+
+    def test_evaluation_matches_square_and_multiply(self, rng):
+        linalg._build_gf_tables()
+        for _ in range(60):
+            logs = tuple(rng.randrange(0, (1 << 16) - 1) for _ in range(3))
+            point = tuple(gf16_pow_reference(0b10, l) for l in logs)
+            p = random_poly(rng, 5, 4096)
+            assert linalg._eval_poly_gf16(p, logs) == eval_reference(p, point)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_suite_matrices_evaluate_as_the_reference(self, seed, monkeypatch):
+        # the same draws give the same GF(2^16) matrices as evaluating each
+        # term by square-and-multiply at the drawn point
+        evaluated = []
+        rank_gf16 = linalg._rank_gf16
+
+        def recorded(rows):
+            evaluated.append(rows)
+            return rank_gf16(rows)
+
+        monkeypatch.setattr(linalg, "_rank_gf16", recorded)
+        for k in range(200):
+            d = random_complex(k, 2 + k % 11).differential
+            evaluated.clear()
+            rank_frac_randomized(d, random.Random(seed))
+            draws = random.Random(seed)
+            assert len(evaluated) == linalg.RANDOM_RANK_TRIALS
+            for rows in evaluated:
+                point = tuple(draws.randrange(1, 1 << 16) for _ in range(3))
+                assert rows == [[eval_reference(x, point) for x in row] for row in d]
 
 
 def det_oracle(mat):

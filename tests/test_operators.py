@@ -50,6 +50,13 @@ class TestUnknotModule:
         assert dec.rank([]) == 2
 
 
+    def test_cubic_relation_without_a_vertex(self):
+        assert check_vertex_relations(unknot_module()) == (("e^3 + P*e = 0", True),)
+        assert check_vertex_relations(theta_module()) == tuple(
+            (f"e{i}^3 + P*e{i} = 0", True) for i in (1, 2, 3)
+        )
+
+
 class TestThetaModule:
     def test_vertex_relations_pass(self):
         report = check_vertex_relations(theta_module(), ("e1", "e2", "e3"))
