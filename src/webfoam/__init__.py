@@ -15,109 +15,84 @@ Subpackages by topic:
 * :mod:`webfoam.acceptance` -- the ``verify-all`` check suite.
 """
 
-from .errors import (
-    InputError,
-    InternalConsistencyError,
-    ValidationError,
-    WebfoamError,
-)
-from .laurent import (
-    LaurentPoly,
-    ONE,
-    P,
-    T1,
-    T2,
-    T3,
-    ZERO,
-    eval_at_ones,
-    leading_form,
-    m_adic_order,
-    p_monomials,
-    substitute_line,
-)
-from .linalg import fraction_rank
-from .foams import eval_sphere, eval_theta, pairing_matrix
-from .webs import (
-    Edge,
-    Web,
-    complement_cycles,
-    corpus_names,
-    corpus_web,
-    count_tait_backtracking,
-    count_tait_matching_formula,
-    disjoint_union,
-    generate_connected_cubic,
-    is_even,
-    load_web,
-    one_sets,
-    predict_planar_rank,
-)
-from .operators import (
-    EdgeDecomposition,
-    OperatorModule,
-    check_vertex_relations,
-    edge_decomposition,
-    theta_module,
-    unknot_module,
-)
-from .homology import (
-    DifferentialModule,
-    SpecializationReport,
-    cone_of_p,
-    linked_handcuffs_model,
-    load_complex,
-    order_four_certificate,
-    random_complex,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "WebfoamError",
-    "InputError",
-    "ValidationError",
-    "InternalConsistencyError",
-    "LaurentPoly",
-    "ZERO",
-    "ONE",
-    "T1",
-    "T2",
-    "T3",
-    "P",
-    "p_monomials",
-    "eval_at_ones",
-    "leading_form",
-    "m_adic_order",
-    "substitute_line",
-    "fraction_rank",
-    "eval_sphere",
-    "eval_theta",
-    "pairing_matrix",
-    "Web",
-    "Edge",
-    "one_sets",
-    "complement_cycles",
-    "is_even",
-    "count_tait_backtracking",
-    "count_tait_matching_formula",
-    "predict_planar_rank",
-    "disjoint_union",
-    "generate_connected_cubic",
-    "corpus_names",
-    "corpus_web",
-    "load_web",
-    "OperatorModule",
-    "EdgeDecomposition",
-    "unknot_module",
-    "theta_module",
-    "check_vertex_relations",
-    "edge_decomposition",
-    "DifferentialModule",
-    "SpecializationReport",
-    "cone_of_p",
-    "linked_handcuffs_model",
-    "random_complex",
-    "order_four_certificate",
-    "load_complex",
-    "__version__",
-]
+#: Submodule -> the public names it defines.  Names load on first access
+#: (PEP 562), so ``python -m webfoam.cli`` pays only for the layers the
+#: command uses.
+_EXPORTS = {
+    "errors": (
+        "WebfoamError",
+        "InputError",
+        "ValidationError",
+        "InternalConsistencyError",
+    ),
+    "laurent": (
+        "LaurentPoly",
+        "ZERO",
+        "ONE",
+        "T1",
+        "T2",
+        "T3",
+        "P",
+        "p_monomials",
+        "eval_at_ones",
+        "leading_form",
+        "m_adic_order",
+        "substitute_line",
+    ),
+    "linalg": ("fraction_rank",),
+    "foams": ("eval_sphere", "eval_theta", "pairing_matrix"),
+    "webs": (
+        "Web",
+        "Edge",
+        "one_sets",
+        "complement_cycles",
+        "is_even",
+        "count_tait_backtracking",
+        "count_tait_matching_formula",
+        "predict_planar_rank",
+        "disjoint_union",
+        "generate_connected_cubic",
+        "corpus_names",
+        "corpus_web",
+        "load_web",
+    ),
+    "operators": (
+        "OperatorModule",
+        "EdgeDecomposition",
+        "unknot_module",
+        "theta_module",
+        "check_vertex_relations",
+        "edge_decomposition",
+    ),
+    "homology": (
+        "DifferentialModule",
+        "SpecializationReport",
+        "cone_of_p",
+        "linked_handcuffs_model",
+        "random_complex",
+        "order_four_certificate",
+        "load_complex",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "acceptance", "cli")
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_SUBMODULES})

@@ -314,7 +314,7 @@ def check_property_suite(ctx: CheckContext) -> Outcome:
             problems.append(f"module {k}: f2_dim {f2} < frac_rank {fr}")
             break
         for direction in homology.DIRECTIONS:
-            rep = module.bockstein(direction)
+            rep = module.bockstein(direction, seed=ctx.seed)
             if rep.f2_dim != rep.r + 2 * rep.l:
                 problems.append(
                     f"module {k} {direction}: {rep.f2_dim} != {rep.r} + 2*{rep.l}"

@@ -44,7 +44,6 @@ from .laurent import (
 )
 from . import linalg
 from .linalg import Matrix
-from .operators import unknot_module
 
 __all__ = [
     "DifferentialModule",
@@ -174,12 +173,16 @@ class DifferentialModule:
             packed.append(bits)
         return self.rank - 2 * linalg.rank_f2(packed)
 
-    def bockstein(self, direction: tuple[int, int, int]) -> SpecializationReport:
+    def bockstein(
+        self, direction: tuple[int, int, int], seed: int = 0
+    ) -> SpecializationReport:
         """Torsion analysis along a substitution direction.
 
         The substituted differential is cleared to a matrix over F2[t]
         by a common unit at t = 0; the positive exponents of its Smith
         form over the local ring F2[t]_(t) are the torsion exponents.
+        The generic rank it is compared with is :meth:`frac_rank` at
+        ``seed``.
         """
         if direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
@@ -201,7 +204,7 @@ class DifferentialModule:
                 f"universal-coefficient identity violated: "
                 f"f2_dim {f2} != {r} + 2*{l}"
             )
-        fr = self.frac_rank()
+        fr = self.frac_rank(seed)
         if r < fr:
             raise InternalConsistencyError(
                 f"free rank {r} after substitution is below the generic rank {fr}"
@@ -230,6 +233,8 @@ def linked_handcuffs_model() -> DifferentialModule:
     are each of rank 2 and the homology is free of rank 4 with no
     torsion in either shipped direction.
     """
+    from .operators import unknot_module  # the one model built on the operators
+
     u = unknot_module().operator("e")
     a = linalg.mat_add(linalg.mat_mul(u, u), linalg.mat_scale(P, linalg.identity(3)))
     return DifferentialModule.from_map(a)

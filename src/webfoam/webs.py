@@ -17,7 +17,8 @@ The module provides
   ``n(s)`` is the number of complementary cycles.  Both count each
   connected component alone and multiply, with a factor 3 per circle;
 * the planar rank prediction (the matching-formula count, which is a
-  theorem only for planar webs -- non-planar inputs get a warning);
+  theorem only for planar webs -- non-planar inputs get a warning), with
+  a planarity test of the underlying graph by path addition per block;
 * a JSON file format and the shipped corpus of named webs;
 * exhaustive generation of connected cubic multigraphs up to
   isomorphism, used by the test and verification suites.
@@ -29,7 +30,6 @@ import functools
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -317,16 +317,161 @@ def is_abstract_planar(web: Web) -> bool:
     """Planarity of the underlying abstract graph.
 
     Loops and parallel edges never affect planarity, so the test runs on
-    the underlying simple graph.
+    the underlying simple graph.  A graph is planar exactly when each of
+    its blocks (biconnected components) is, and each block is tested by
+    path addition (:func:`_planar_block`).
     """
-    import networkx as nx
-
-    g = nx.Graph()
-    g.add_nodes_from(web.vertices)
+    adj: dict[str, dict[str, None]] = {v: {} for v in web.vertices}
     for e in web.edges:
         if e.kind == "edge":
-            g.add_edge(*e.ends)
-    return nx.check_planarity(g, counterexample=False)[0]
+            a, b = e.ends
+            adj[a][b] = adj[b][a] = None
+    return all(_planar_block(block) for block in _blocks(adj))
+
+
+def _blocks(adj: dict[str, dict[str, None]]) -> Iterator[list[tuple[str, str]]]:
+    """Edge lists of the blocks of a simple graph (Hopcroft-Tarjan).
+
+    The depth-first search keeps its own stack, so deep graphs cannot
+    exhaust the recursion limit.  A tree edge ``(p, v)`` closes a block
+    when nothing below ``v`` reaches above ``p``; the block is then the
+    edges stacked since that tree edge.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    for root in adj:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        edges: list[tuple[str, str]] = []
+        # (vertex, parent, unseen neighbours, stack position of the tree edge)
+        stack = [(root, None, iter(adj[root]), 0)]
+        while stack:
+            v, parent, rest, at = stack[-1]
+            for w in rest:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append((w, v, iter(adj[w]), len(edges)))
+                    edges.append((v, w))
+                    break
+                if w != parent and index[w] < index[v]:
+                    edges.append((v, w))
+                    low[v] = min(low[v], index[w])
+            else:
+                stack.pop()
+                if parent is None:
+                    continue
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= index[parent]:
+                    yield edges[at:]
+                    del edges[at:]
+
+
+def _planar_block(edges: list[tuple[str, str]]) -> bool:
+    """Planarity of a block, by Demoucron-Malgrange-Pertuiset path addition.
+
+    The embedded part ``H`` starts as one edge, whose single face is the
+    closed walk along it; each face is a vertex list in cyclic order.  A
+    fragment of ``H`` is an edge outside ``H`` joining two of its
+    vertices, or a component of the rest of the graph with its edges to
+    ``H``; its attachments are its vertices in ``H``, and a face admits
+    it when the face holds all of them.  Each round embeds a path through
+    a fragment, between two attachments, across a face admitting it, and
+    splits that face.  A fragment that no face admits proves the graph
+    non-planar; otherwise a fragment with one admissible face goes first,
+    and any choice is safe when every fragment has two or more
+    (Demoucron, Malgrange & Pertuiset 1964).  Each round adds an edge and
+    costs O(n + m).
+    """
+    adj: dict[str, list[str]] = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    n, m = len(adj), len(edges)
+    if m < 9:  # K3,3 is the smallest non-planar graph
+        return True
+    if m > 3 * n - 6:  # Euler's bound for simple planar graphs
+        return False
+    faces = [list(edges[0])]
+    placed = set(edges[0])
+    used = {frozenset(edges[0])}
+    while len(used) < m:
+        on: dict[str, set[int]] = {}
+        for i, face in enumerate(faces):
+            for x in face:
+                on.setdefault(x, set()).add(i)
+        best = None
+        for attach, path in _fragments(adj, placed, used):
+            admissible = set.intersection(*(on[x] for x in attach))
+            if not admissible:
+                return False
+            if best is None or len(admissible) < len(best[0]):
+                best = (admissible, path)
+                if len(admissible) == 1:
+                    break
+        admissible, path = best
+        i = min(admissible)
+        face = faces[i]
+        start, end = face.index(path[0]), face.index(path[-1])
+        if start <= end:
+            arc, rest = face[start : end + 1], face[end:] + face[: start + 1]
+        else:
+            arc, rest = face[start:] + face[: end + 1], face[end : start + 1]
+        faces[i] = arc + path[-2:0:-1]
+        faces.append(rest + path[1:-1])
+        placed.update(path)
+        used.update(frozenset(pair) for pair in zip(path, path[1:]))
+    return True
+
+
+def _fragments(adj: dict[str, list[str]], placed: set[str], used: set[frozenset]):
+    """``(attachments, path)`` for each fragment of the embedded part.
+
+    The path runs through the fragment between two distinct attachments;
+    in a block every fragment has two attachments or more.
+    """
+    for a in placed:
+        for b in adj[a]:
+            if b in placed and a < b and frozenset((a, b)) not in used:
+                yield (a, b), [a, b]
+    seen: set[str] = set()
+    for s in adj:
+        if s in placed or s in seen:
+            continue
+        seen.add(s)
+        comp = [s]
+        attach: dict[str, None] = {}
+        for x in comp:
+            for y in adj[x]:
+                if y in placed:
+                    attach[y] = None
+                elif y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        yield attach, _path_through(adj, placed, set(comp), next(iter(attach)))
+
+
+def _path_through(
+    adj: dict[str, list[str]], placed: set[str], inside: set[str], a: str
+) -> list[str]:
+    """A path from ``a`` through ``inside`` to another placed vertex."""
+    first = next(x for x in adj[a] if x in inside)
+    prev: dict[str, str | None] = {first: None}
+    queue = [first]
+    for x in queue:
+        b = next((y for y in adj[x] if y in placed and y != a), None)
+        if b is not None:
+            break
+        for y in adj[x]:
+            if y in inside and y not in prev:
+                prev[y] = x
+                queue.append(y)
+    path = [b]
+    while x is not None:
+        path.append(x)
+        x = prev[x]
+    path.append(a)
+    return path
 
 
 def predict_planar_rank(web: Web) -> int:
@@ -462,6 +607,8 @@ def load_web(path: str | Path) -> Web:
 
 def corpus_dir() -> Path:
     """Directory holding the shipped corpus of named webs."""
+    from importlib import resources
+
     return Path(str(resources.files("webfoam").joinpath("corpus")))
 
 

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -75,6 +76,21 @@ def gf16_mul_reference(a: int, b: int) -> int:
         if a >> 16:
             a ^= GF2_16_MODULUS
     return result
+
+
+def gf16_tables_reference() -> tuple[array, array]:
+    """``(exp, log)`` for GF(2^16), one power of x at a time by the bit loop."""
+    order = (1 << 16) - 1
+    exp = array("H", [0]) * (2 * order)
+    log = array("H", [0]) * (1 << 16)
+    a = 1
+    for i in range(order):
+        exp[i] = exp[i + order] = a
+        log[a] = i
+        a <<= 1
+        if a >> 16:
+            a ^= GF2_16_MODULUS
+    return exp, log
 
 
 @pytest.fixture

@@ -486,3 +486,62 @@ class TestDeterminism:
         with pytest.raises(SystemExit) as err:
             run(capsys, "no-such-command")
         assert err.value.code == 2
+
+
+class TestImports:
+    """Each command loads only the layers it uses."""
+
+    @staticmethod
+    def loaded_after(code: str) -> set[str]:
+        src = str(Path(webfoam.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}\nimport sys; print(*sorted(sys.modules))"],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        return set(proc.stdout.split("\n")[-2].split())
+
+    def test_cli_import_loads_no_layer(self):
+        loaded = self.loaded_after("import webfoam.cli")
+        heavy = {"networkx", "webfoam.linalg", "webfoam.homology", "webfoam.acceptance"}
+        assert not loaded & heavy
+        assert "webfoam.webs" not in loaded
+
+    @pytest.mark.parametrize("name", ["cube", "petersen"])
+    def test_web_commands_load_only_webs(self, name):
+        loaded = self.loaded_after(
+            "from webfoam.cli import main\n"
+            f"main(['web', 'info', {name!r}]); main(['web', 'predict-rank', {name!r}])"
+        )
+        assert "webfoam.webs" in loaded
+        assert not {m for m in loaded if m.split(".")[0] == "networkx"}
+        assert not loaded & {"webfoam.laurent", "webfoam.linalg", "webfoam.homology"}
+
+    def test_every_public_name_resolves(self):
+        names = {}
+        exec("from webfoam import *", names)
+        assert set(webfoam.__all__) <= set(names)
+        for name in webfoam.__all__:
+            assert getattr(webfoam, name) is names[name]
+        assert set(webfoam.__all__) <= set(dir(webfoam))
+        with pytest.raises(AttributeError):
+            webfoam.no_such_name
+
+    def test_tracer_hooks_stay_module_attributes(self):
+        from webfoam import cli, foams
+
+        assert cli.eval_theta is foams.eval_theta
+        assert cli.eval_sphere is foams.eval_sphere
+        assert callable(cli.main)
+
+    def test_verify_all_help_is_unchanged(self, capsys, monkeypatch):
+        from webfoam import acceptance, cli
+
+        assert cli.CHECK_KEYS == tuple(sorted(acceptance.CHECKS))
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as err:
+            main(["verify-all", "--help"])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        assert out == (DATA / "verify_all_help.txt").read_text()
+        assert " ".join(out.split()).count(", ".join(sorted(acceptance.CHECKS))) == 1

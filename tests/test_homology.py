@@ -99,8 +99,16 @@ class TestRankMemo:
         calls = self.count_rank_calls(monkeypatch)
         assert cli.main(["complex", "cone-p", "--seed", "5"]) == 0
         assert "two-term map: kernel rank 0, cokernel rank 0" in capsys.readouterr().out
-        # bockstein cross-checks at seed 0 and the analysis at seed 5; the
-        # two-term ranks reuse the differential's rank
+        # bockstein, the analysis and the two-term ranks all use seed 5, so
+        # one exact rank is cross-checked once
+        assert calls == {"exact": 1, "randomized": 1}
+
+    def test_bockstein_cross_checks_at_its_seed(self, monkeypatch):
+        calls = self.count_rank_calls(monkeypatch)
+        module = random_complex(7, 9)
+        for seed in (3, 3, 4):
+            module.bockstein((1, 1, 1), seed=seed)
+        # one cross-check per seed used, none at the default seed
         assert calls == {"exact": 1, "randomized": 2}
 
     def test_fresh_seed_is_still_cross_checked(self, monkeypatch):

@@ -4,10 +4,17 @@ import functools
 import itertools
 import random
 import time
+from array import array
 
 import pytest
 
-from conftest import gf16_mul_reference, gf2_divmod, gf2_gcd, random_poly
+from conftest import (
+    gf16_mul_reference,
+    gf16_tables_reference,
+    gf2_divmod,
+    gf2_gcd,
+    random_poly,
+)
 from webfoam.errors import InternalConsistencyError
 from webfoam.homology import random_complex
 from webfoam.laurent import (
@@ -105,6 +112,13 @@ class TestGF16:
         pairs += [(rng.randrange(1, 1 << 16), 0) for _ in range(20)]
         for a, b in pairs:
             assert gf16_mul(a, b) == gf16_mul_reference(a, b), (a, b)
+
+    def test_tables_match_the_bit_loop(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_GF_EXP", array("H"))
+        linalg._build_gf_tables()
+        exp, log = gf16_tables_reference()
+        assert linalg._GF_EXP == exp
+        assert linalg._GF_LOG == log
 
     def test_field_inverses(self):
         for a in range(1, 1 << 16):
