@@ -122,14 +122,8 @@ class DifferentialModule:
     @classmethod
     def from_map(cls, a: Sequence[Sequence[LaurentPoly]]) -> "DifferentialModule":
         """Mapping cone of ``a: R^cols -> R^rows`` as a square-zero block."""
-        rows = len(a)
-        cols = len(a[0]) if rows else 0
-        n = rows + cols
-        d = linalg.zeros(n, n)
-        for i in range(rows):
-            for j in range(cols):
-                d[i][rows + j] = a[i][j]
-        return cls(n, d, two_term=(rows, cols, [list(r) for r in a]))
+        d = _cone(a)
+        return cls(len(d), d, two_term=(len(a), len(d) - len(a), [list(r) for r in a]))
 
     # -- rank computations -------------------------------------------
 
@@ -220,6 +214,16 @@ class DifferentialModule:
         )
 
 
+def _cone(a: Sequence[Sequence[LaurentPoly]]) -> Matrix:
+    """The square-zero block ((0, a), (0, 0)) of ``a: R^cols -> R^rows``."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    d = linalg.zeros(rows + cols, rows + cols)
+    for i in range(rows):
+        d[i][rows:] = a[i]
+    return d
+
+
 def cone_of_p() -> DifferentialModule:
     """Mapping cone of P times the identity on R^2: pure torsion."""
     a = [[P, ZERO], [ZERO, P]]
@@ -233,11 +237,10 @@ def linked_handcuffs_model() -> DifferentialModule:
     are each of rank 2 and the homology is free of rank 4 with no
     torsion in either shipped direction.
     """
-    from .operators import unknot_module  # the one model built on the operators
+    # the one model built on the operators
+    from .operators import _image_equations, unknot_module
 
-    u = unknot_module().operator("e")
-    a = linalg.mat_add(linalg.mat_mul(u, u), linalg.mat_scale(P, linalg.identity(3)))
-    return DifferentialModule.from_map(a)
+    return DifferentialModule.from_map(_image_equations(unknot_module())["e"])
 
 
 def random_complex(seed: int, size: int) -> DifferentialModule:
@@ -264,15 +267,9 @@ def random_complex(seed: int, size: int) -> DifferentialModule:
             )
         return acc
 
-    a = [[random_entry() for _ in range(cols)] for _ in range(rows)]
-    n = rows + cols
-    d = linalg.zeros(n, n)
-    for i in range(rows):
-        for j in range(cols):
-            d[i][rows + j] = a[i][j]
-
+    d = _cone([[random_entry() for _ in range(cols)] for _ in range(rows)])
     for _ in range(size):
-        i, j = rng.sample(range(n), 2)
+        i, j = rng.sample(range(size), 2)
         c = LaurentPoly.monomial(
             rng.randint(-1, 1), rng.randint(-1, 1), rng.randint(-1, 1)
         )
@@ -280,7 +277,7 @@ def random_complex(seed: int, size: int) -> DifferentialModule:
         d[i] = [x + c * y for x, y in zip(d[i], d[j])]
         for row in d:
             row[j] = row[j] + c * row[i]
-    return DifferentialModule(n, d)
+    return DifferentialModule(size, d)
 
 
 def order_four_certificate() -> tuple[tuple[str, str, bool], ...]:
@@ -327,7 +324,7 @@ def complex_from_dict(data: object, source: str = "<complex>") -> DifferentialMo
     if not isinstance(data, dict):
         raise fail("$", "expected a JSON object")
     rank = data.get("rank")
-    if not isinstance(rank, int) or rank < 0:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
         raise fail("rank", "expected a nonnegative integer")
     rows = data.get("differential")
     if not isinstance(rows, list) or len(rows) != rank:

@@ -12,10 +12,10 @@ cubic relation u^3 + P*u = 0.  Two concrete models ship here:
   ``gram @ u = moved`` where ``moved`` pairs the basis against the basis
   with one extra dot on the corresponding disk.
 
-Over the fraction field, the simultaneous kernel/image decomposition
-indexed by edge subsets is computed by rank arithmetic:
-``V(s) = ker(stack of u_e for e in s, and of left-kernel conditions of
-u_e for e not in s)``.
+Over the fraction field, the summand of an edge subset s is cut out by
+kernels alone: ``V(s) = ker(stack of u_e for e in s, and of u_e^2 + P
+for e not in s)``.  The image of u_e is ker(u_e^2 + P), because
+u_e*(u_e^2 + P) = 0 and x, x^2 + P are coprime over Frac(R) (P != 0).
 """
 
 from __future__ import annotations
@@ -172,13 +172,20 @@ def check_vertex_relations(
         checks.append(("u2*u3 + u3*u1 + u1*u2 = P", w2 == linalg.mat_scale(P, ident)))
         triple = linalg.mat_mul(linalg.mat_mul(u1, u2), u3)
         checks.append(("u1*u2*u3 = 0", linalg.is_zero_matrix(triple)))
+    images = _image_equations(module)
     for name in names:
-        u = module.operator(name)
-        cubic = linalg.mat_add(
-            linalg.mat_mul(linalg.mat_mul(u, u), u), linalg.mat_scale(P, u)
-        )
+        cubic = linalg.mat_mul(module.operator(name), images[name])
         checks.append((f"{name}^3 + P*{name} = 0", linalg.is_zero_matrix(cubic)))
     return tuple(checks)
+
+
+def _image_equations(module: OperatorModule) -> dict[str, Matrix]:
+    """u_e^2 + P*I for every edge e: its kernel is the image of u_e."""
+    p_ident = linalg.mat_scale(P, linalg.identity(module.rank))
+    return {
+        name: linalg.mat_add(linalg.mat_mul(u, u), p_ident)
+        for name, u in module.operators.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -195,29 +202,20 @@ class EdgeDecomposition:
     def basis(self, subset: Iterable[str]) -> list[list[LaurentPoly]]:
         """Column vectors spanning the summand over the fraction field."""
         return linalg.nullspace_frac(
-            _constraints(self.module, frozenset(subset))
+            _constraints(self.module, frozenset(subset), _image_equations(self.module))
         )
 
 
-def _constraints(module: OperatorModule, subset: frozenset) -> Matrix:
-    """Stack of row conditions cutting out the summand of ``subset``.
-
-    Membership in ker(u_e) contributes the rows of u_e; membership in
-    im(u_e) contributes a basis of the left null space of u_e (over the
-    fraction field the image is exactly the joint kernel of those row
-    functionals).
-    """
-    rows: Matrix = []
-    for edge_id in module.edge_ids:
-        u = module.operator(edge_id)
-        if edge_id in subset:
-            rows.extend([list(r) for r in u])
-        else:
-            left = linalg.nullspace_frac(linalg.transpose(u))
-            rows.extend([list(v) for v in left])
-    if not rows:
-        rows = [[ZERO] * module.rank]
-    return rows
+def _constraints(
+    module: OperatorModule, subset: frozenset, images: dict[str, Matrix]
+) -> Matrix:
+    """Rows of u_e for e in ``subset`` and of u_e^2 + P for e outside it."""
+    rows = [
+        row
+        for e in module.edge_ids
+        for row in (module.operator(e) if e in subset else images[e])
+    ]
+    return rows or [[ZERO] * module.rank]
 
 
 def edge_decomposition(
@@ -235,13 +233,14 @@ def edge_decomposition(
     be idempotent, orthogonal, and to sum to the identity.
     """
     edge_ids = module.edge_ids
+    images = _image_equations(module)
     subset_ranks: dict[frozenset, int] = {}
     total = 0
     for bits in range(1 << len(edge_ids)):
         subset = frozenset(
             e for k, e in enumerate(edge_ids) if bits & (1 << k)
         )
-        r = module.rank - linalg.rank_frac_exact(_constraints(module, subset))
+        r = module.rank - linalg.rank_frac_exact(_constraints(module, subset, images))
         subset_ranks[subset] = r
         total += r
     if total != module.rank:

@@ -214,6 +214,13 @@ class TestComplex:
         assert code == 4
         assert "square to zero" in err
 
+    def test_boolean_rank_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text('{"rank": true, "differential": [["0"]]}')
+        code, out, err = run(capsys, "complex", "analyze", str(path))
+        assert (code, out) == (3, "")
+        assert "rank: expected a nonnegative integer" in err
+
     def test_huge_exponent_is_rejected_quickly(self, tmp_path):
         # line substitution of T1^(2^30 - 1) would run for minutes, so the
         # parser rejects the entry; the time limit catches a regression

@@ -1,13 +1,16 @@
 """Operator models: pinned matrices, relations, and edge decompositions."""
 
+import itertools
+
 import pytest
 
 from webfoam.errors import InternalConsistencyError
 from webfoam.laurent import ONE, P, ZERO
-from webfoam import linalg
+from webfoam import linalg, webs
 from webfoam.operators import (
     OperatorModule,
     _check_projections,
+    _image_equations,
     check_vertex_relations,
     edge_decomposition,
     theta_module,
@@ -19,6 +22,56 @@ UNKNOT_MATRIX = [
     [ONE, ZERO, P],
     [ZERO, ONE, ZERO],
 ]
+
+
+def unknot_direct_sum() -> OperatorModule:
+    """Two edges on two circle models: u (+) 0 and 0 (+) u."""
+    zero = linalg.zeros(3, 3)
+
+    def block(top, bottom):
+        return [row + [ZERO] * 3 for row in top] + [[ZERO] * 3 + row for row in bottom]
+
+    return OperatorModule(
+        rank=6,
+        basis_labels=tuple(range(6)),
+        operators={"a": block(UNKNOT_MATRIX, zero), "b": block(zero, UNKNOT_MATRIX)},
+    )
+
+
+def left_kernel_summand(module: OperatorModule, subset: frozenset) -> list:
+    """Reference basis of the summand of ``subset``, images cut out by left kernels.
+
+    ker(u_e) for e in ``subset`` contributes the rows of u_e; im(u_e) for
+    e outside it contributes a basis of the left null space of u_e, the
+    row functionals that vanish exactly on the image over Frac(R).
+    """
+    rows = [[ZERO] * module.rank]
+    for edge_id in module.edge_ids:
+        u = module.operator(edge_id)
+        if edge_id in subset:
+            rows.extend(list(r) for r in u)
+        else:
+            rows.extend(linalg.nullspace_frac(linalg.transpose(u)))
+    return linalg.nullspace_frac(rows)
+
+
+def all_subsets(module: OperatorModule):
+    ids = module.edge_ids
+    for k in range(len(ids) + 1):
+        yield from map(frozenset, itertools.combinations(ids, k))
+
+
+def matching_term(web: webs.Web, subset: frozenset) -> int:
+    """The term of ``subset`` in the Tait count sum over even 1-sets of 2^n(s).
+
+    A free circle outside ``subset`` is one more complementary cycle
+    (with no vertices, so even); a circle inside it adds nothing.
+    """
+    circles = {e.id for e in web.circles}
+    if subset - circles not in webs.one_sets(web):
+        return 0
+    cycles = webs.complement_cycles(web, subset - circles) + [0] * len(circles - subset)
+    return 1 << len(cycles) if webs.is_even(cycles) else 0
 
 
 class TestUnknotModule:
@@ -40,8 +93,7 @@ class TestUnknotModule:
         assert all(v[i] * w[j] == v[j] * w[i] for i in range(3) for j in range(3))
 
     def test_u_squared_plus_p(self):
-        u = unknot_module().operator("e")
-        m = linalg.mat_add(linalg.mat_mul(u, u), linalg.mat_scale(P, linalg.identity(3)))
+        m = _image_equations(unknot_module())["e"]
         assert m == [[P, ZERO, ZERO], [ZERO, ZERO, ZERO], [ONE, ZERO, ZERO]]
 
     def test_decomposition(self):
@@ -118,6 +170,62 @@ class TestThetaModule:
                 sum((row[j] * vec[j] for j in range(6)), ZERO) for row in u1
             ]
             assert all(x == ZERO for x in image)
+
+
+MODELS = {
+    "unknot": unknot_module,
+    "theta": theta_module,
+    "direct-sum": unknot_direct_sum,
+}
+
+
+class TestKernelForm:
+    """Summands cut out by ker(u_e^2 + P) against the left-kernel reference."""
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_matches_the_left_kernel_reference(self, model):
+        module = MODELS[model]()
+        dec = edge_decomposition(module)
+        for subset in all_subsets(module):
+            reference = left_kernel_summand(module, subset)
+            basis = dec.basis(subset)
+            assert dec.rank(subset) == len(basis) == len(reference)
+            # equal spans: stacking both bases adds no rank
+            assert linalg.rank_frac_exact(basis + reference or [[ZERO]]) == len(basis)
+
+    def test_direct_sum_ranks(self):
+        dec = edge_decomposition(unknot_direct_sum())
+        assert {tuple(sorted(s)): r for s, r in dec.subset_ranks.items()} == {
+            ("a", "b"): 2,
+            ("a",): 2,
+            ("b",): 2,
+            (): 0,
+        }
+
+    def test_decomposition_makes_no_nullspace_call(self, monkeypatch):
+        module = theta_module()
+        calls = []
+        real = linalg.nullspace_frac
+
+        def counted(mat):
+            calls.append(mat)
+            return real(mat)
+
+        monkeypatch.setattr(linalg, "nullspace_frac", counted)
+        edge_decomposition(module, ("e1", "e2", "e3"))
+        assert calls == []
+
+    @pytest.mark.parametrize("name, tait", [("unknot", 3), ("theta", 6)])
+    def test_ranks_are_the_matching_formula_terms(self, name, tait):
+        # rank = Tait count, summand by summand, on the two webs with models
+        web = webs.corpus_web(name)
+        module = MODELS[name]()
+        assert set(module.edge_ids) == {e.id for e in web.edges}
+        dec = edge_decomposition(module)
+        for subset in all_subsets(module):
+            assert dec.rank(subset) == matching_term(web, subset), sorted(subset)
+        assert sum(dec.subset_ranks.values()) == webs.count_tait_matching_formula(web)
+        assert webs.count_tait_matching_formula(web) == tait
 
 
 class TestGuards:
