@@ -135,7 +135,10 @@ class DifferentialModule:
         a seed not seen before re-runs only the randomized route.
         """
         if self._exact_rank is None:
-            self._exact_rank = linalg.fraction_rank(self.differential, seed=seed)
+            # d*d = 0 (checked on construction) bounds rank(d) by rank // 2
+            self._exact_rank = linalg.fraction_rank(
+                self.differential, seed=seed, max_rank=self.rank // 2
+            )
         elif seed not in self._checked_seeds:
             randomized = linalg.rank_frac_randomized(
                 self.differential, random.Random(seed)

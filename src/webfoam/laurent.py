@@ -40,6 +40,7 @@ Triple = tuple[int, int, int]
 
 __all__ = [
     "LaurentPoly",
+    "add_product",
     "ZERO",
     "ONE",
     "T1",
@@ -136,17 +137,8 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if len(self.terms) > len(other.terms):
-            self, other = other, self
         acc: set[Triple] = set()
-        add, remove = acc.add, acc.remove
-        for (a1, a2, a3) in self.terms:
-            for (b1, b2, b3) in other.terms:
-                t = (a1 + b1, a2 + b2, a3 + b3)
-                if t in acc:
-                    remove(t)
-                else:
-                    add(t)
+        add_product(acc, self.terms, other.terms)
         return LaurentPoly(acc)
 
     def __pow__(self, n: int) -> "LaurentPoly":
@@ -221,6 +213,25 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r})"
+
+
+def add_product(acc: set[Triple], a: frozenset[Triple], b: frozenset[Triple]) -> None:
+    """Add the product of the term sets ``a`` and ``b`` into ``acc``, in place.
+
+    The one multiplication loop of the ring: each product term toggles
+    its membership, which is addition over F2.  A sum of products
+    accumulates in one set, with no polynomial built per product.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    add, remove = acc.add, acc.remove
+    for (a1, a2, a3) in a:
+        for (b1, b2, b3) in b:
+            t = (a1 + b1, a2 + b2, a3 + b3)
+            if t in acc:
+                remove(t)
+            else:
+                add(t)
 
 
 _FACTOR_RE = re.compile(r"^T([123])(?:\^(-?\d+))?$")

@@ -20,16 +20,21 @@ entries.  Everything here is exact:
 The kernel does not work on exponent triples.  After the row shift,
 the entries of row i have degree at most s_i(v) in each variable T_v,
 so a k x k minor has degree at most the sum of the k largest row
-spreads in T_v.  With d_v one more than the sum of the min(rows, cols)
-largest spreads, the Kronecker substitution T1 -> t, T2 -> t^d1,
-T3 -> t^(d1*d2) (:func:`~webfoam.laurent.kronecker_pack`) is injective
-on every entry the kernel stores -- each is a minor -- and the kernel
-runs in F2[t].  The numerator ``row*pivot + factor*pivot_row`` may leave
-the box and wrap, but the substitution is a ring homomorphism and F2[t]
-is a domain, so its exact quotient by the previous pivot is the image of
-the true minor and unpacks uniquely.  Entries are dense bit-packed
-integers when the box is small enough (:data:`DENSE_BUDGET_BITS`), and
-sparse exponent sets otherwise.
+spreads in T_v.  Every nonzero entry the kernel stores is a minor no
+larger than the rank, so with d_v one more than the sum of the
+k = min(rows, cols, max_rank) largest spreads -- ``max_rank`` being an
+optional proven bound on the rank -- the Kronecker substitution
+T1 -> t, T2 -> t^d1, T3 -> t^(d1*d2)
+(:func:`~webfoam.laurent.kronecker_pack`) is injective on all of them,
+and the kernel runs in F2[t].  The numerator
+``row*pivot + factor*pivot_row`` may leave the box and wrap, but the
+substitution is a ring homomorphism and F2[t] is a domain, so its exact
+quotient by the previous pivot is the image of the true minor and
+unpacks uniquely.  Entries are dense bit-packed integers when the box is
+small enough (:data:`DENSE_BUDGET_BITS`), and sparse exponent sets
+otherwise.  The rows are unpacked only under ``reduce_above``, for the
+solve and the null space; a rank or a determinant reads only the pivot
+columns and the last pivot.
 
 The two rank routes are deliberately independent; :func:`fraction_rank`
 runs both and raises :class:`~webfoam.errors.InternalConsistencyError`
@@ -49,6 +54,7 @@ from .laurent import (
     LaurentPoly,
     ONE,
     ZERO,
+    add_product,
     gf2_divexact,
     gf2_exponents,
     gf2_from_exponents,
@@ -116,16 +122,20 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix dimension mismatch")
-    bt = list(zip(*b))
+    # each output entry sums its products in one term set, over the
+    # nonzero entries of its row of a that meet a nonzero entry of b
+    rows = [[(k, x.terms) for k, x in enumerate(row) if x] for row in a]
+    cols = [{k: y.terms for k, y in enumerate(col) if y} for col in zip(*b)]
     out = []
-    for row in a:
+    for row in rows:
         out_row = []
-        for col in bt:
-            acc = ZERO
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = acc + x * y
-            out_row.append(acc)
+        for col in cols:
+            acc: set = set()
+            for k, x in row:
+                y = col.get(k)
+                if y is not None:
+                    add_product(acc, x, y)
+            out_row.append(LaurentPoly(acc) if acc else ZERO)
         out.append(out_row)
     return out
 
@@ -143,7 +153,9 @@ def is_zero_matrix(a: Matrix) -> bool:
 
 
 def _bareiss(
-    mat: Sequence[Sequence[LaurentPoly]], reduce_above: bool
+    mat: Sequence[Sequence[LaurentPoly]],
+    reduce_above: bool,
+    max_rank: int | None = None,
 ) -> tuple[Matrix, list[int], LaurentPoly, tuple[int, int, int]]:
     """Fraction-free (Bareiss) elimination, the one kernel behind this module.
 
@@ -156,16 +168,25 @@ def _bareiss(
 
     The loop runs on packed entries (see the module docstring): after
     the shift, row i spreads over s_i(v) powers of T_v, and with d_v one
-    more than the sum of the min(rows, cols) largest s_i(v), every minor
-    lies in the box [0, d1) x [0, d2) x [0, d3).  Entries are packed on
-    entry by T1 -> t, T2 -> t^d1, T3 -> t^(d1*d2) and unpacked on exit.
-    They are dense bit-packed F2[t] integers when
+    more than the sum of the k = min(rows, cols, max_rank) largest
+    s_i(v), every nonzero minor the kernel stores -- none is larger
+    than the rank -- lies in the box [0, d1) x [0, d2) x [0, d3).
+    Entries are packed on entry by T1 -> t, T2 -> t^d1,
+    T3 -> t^(d1*d2).  They are dense bit-packed F2[t] integers when
     rows * cols * d1 * d2 * d3 is at most :data:`DENSE_BUDGET_BITS`, and
     frozensets of packed exponents otherwise; in both, addition is ``^``.
+    An entry whose update has both terms zero is left alone, and a zero
+    factor drops the cross term.
+
+    ``max_rank`` must bound the rank.  One set too low shrinks the box
+    and can only lower the packed rank, since the packing is a ring
+    homomorphism into a domain; :func:`fraction_rank` then sees the
+    randomized rank exceed the exact one and raises.
 
     With ``reduce_above`` the rows above each pivot are eliminated too
     (fraction-free Gauss-Jordan), so every pivot entry ends equal to the
-    last pivot.  Returns the reduced rows, the pivot columns (pivot i
+    last pivot, and the reduced rows are unpacked and returned; without
+    it the rows list is empty.  Also returns the pivot columns (pivot i
     sits in row i), the last pivot (ONE when there is none) and the sum
     of the row shifts: the row scalings multiplied the determinant of a
     square matrix by T^-total.
@@ -173,21 +194,30 @@ def _bareiss(
     lows: list[tuple[int, int, int]] = []
     spreads: tuple[list[int], list[int], list[int]] = ([], [], [])
     for row in mat:
-        ranges = [x.exponent_range() for x in row if x]
-        lo = tuple(min((r[0][v] for r in ranges), default=0) for v in range(3))
-        for v in range(3):
-            spreads[v].append(max((r[1][v] for r in ranges), default=lo[v]) - lo[v])
+        terms = [t for x in row for t in x.terms]
+        if terms:
+            e1, e2, e3 = zip(*terms)
+            lo = (min(e1), min(e2), min(e3))
+            spreads[0].append(max(e1) - lo[0])
+            spreads[1].append(max(e2) - lo[1])
+            spreads[2].append(max(e3) - lo[2])
+        else:
+            lo = (0, 0, 0)
         lows.append(lo)
     rows = len(mat)
     cols = len(mat[0]) if mat else 0
-    d1, d2, d3 = (1 + sum(sorted(s, reverse=True)[: min(rows, cols)]) for s in spreads)
+    k = min(rows, cols) if max_rank is None else min(rows, cols, max_rank)
+    d1, d2, d3 = (1 + sum(sorted(s, reverse=True)[:k]) for s in spreads)
     if rows * cols * d1 * d2 * d3 <= DENSE_BUDGET_BITS:
         zero, one, mul, div = 0, 1, gf2_mul, gf2_divexact
         encode, decode = gf2_from_exponents, gf2_exponents
     else:
         zero, one, mul, div = frozenset(), frozenset((0,)), packed_mul, packed_divexact
         encode = decode = frozenset
-    m = [[encode(kronecker_pack(x, d1, d2, lo)) for x in row] for row, lo in zip(mat, lows)]
+    m = [
+        [encode(kronecker_pack(x, d1, d2, lo)) if x else zero for x in row]
+        for row, lo in zip(mat, lows)
+    ]
     free = list(range(cols))
     pivot_cols: list[int] = []
     prev_pivot = one
@@ -208,8 +238,14 @@ def _bareiss(
             row = m[i]
             factor = row[pc]
             for j in free:
+                x, y = row[j], pivot_row[j]
                 # num may wrap past the box; its exact quotient, a minor, does not
-                num = mul(row[j], pivot) ^ mul(factor, pivot_row[j])
+                if factor and y:
+                    num = mul(x, pivot) ^ mul(factor, y) if x else mul(factor, y)
+                elif x:
+                    num = mul(x, pivot)
+                else:
+                    continue
                 row[j] = div(num, prev_pivot)
             row[pc] = zero
             if i < r:
@@ -218,16 +254,24 @@ def _bareiss(
         prev_pivot = pivot
     t1, t2, t3 = (sum(lo[v] for lo in lows) for v in range(3))
     return (
-        [[kronecker_unpack(decode(x), d1, d2) for x in row] for row in m],
+        [[kronecker_unpack(decode(x), d1, d2) for x in row] for row in m]
+        if reduce_above
+        else [],
         pivot_cols,
         kronecker_unpack(decode(prev_pivot), d1, d2),
         (t1, t2, t3),
     )
 
 
-def rank_frac_exact(mat: Sequence[Sequence[LaurentPoly]]) -> int:
-    """Rank over Frac(R) by fraction-free (Bareiss) elimination."""
-    return len(_bareiss(mat, reduce_above=False)[1])
+def rank_frac_exact(
+    mat: Sequence[Sequence[LaurentPoly]], max_rank: int | None = None
+) -> int:
+    """Rank over Frac(R) by fraction-free (Bareiss) elimination.
+
+    ``max_rank``, when given, must be a proven upper bound on the rank;
+    it shrinks the packed box (see :func:`_bareiss`).
+    """
+    return len(_bareiss(mat, reduce_above=False, max_rank=max_rank)[1])
 
 
 def det_poly(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
@@ -444,13 +488,17 @@ def check_rank_agreement(exact: int, randomized: int, seed: int) -> None:
         )
 
 
-def fraction_rank(mat: Sequence[Sequence[LaurentPoly]], seed: int = 0) -> int:
+def fraction_rank(
+    mat: Sequence[Sequence[LaurentPoly]], seed: int = 0, max_rank: int | None = None
+) -> int:
     """Rank over the fraction field, computed two independent ways.
 
     Exact fraction-free elimination and randomized GF(2^16) evaluation
-    must agree; disagreement raises InternalConsistencyError.
+    must agree; disagreement raises InternalConsistencyError.  The exact
+    route takes ``max_rank``, a proven bound on the rank; a bound set too
+    low surfaces as that disagreement.
     """
-    exact = rank_frac_exact(mat)
+    exact = rank_frac_exact(mat, max_rank)
     randomized = rank_frac_randomized(mat, random.Random(seed))
     check_rank_agreement(exact, randomized, seed)
     return exact

@@ -128,20 +128,23 @@ def theta_module() -> OperatorModule:
 
 
 def _check_theta_relations(module: OperatorModule) -> None:
-    for name, ok in check_vertex_relations(module, ("e1", "e2", "e3")):
+    # the constructor has checked each operator's cubic relation already
+    for name, ok in check_vertex_relations(module, ("e1", "e2", "e3"), cubic=False):
         if not ok:
             raise InternalConsistencyError(f"theta operators violate {name}")
 
 
 def check_vertex_relations(
-    module: OperatorModule, incident: tuple[str, str, str] | None = None
+    module: OperatorModule,
+    incident: tuple[str, str, str] | None = None,
+    cubic: bool = True,
 ) -> tuple[tuple[str, bool], ...]:
     """Verify the vertex relations for three incident edge operators.
 
-    Returns ``(label, holds)`` pairs: the three vertex relations, then
-    the cubic relation u^3 + P*u = 0 of each operator.  Without a triple,
-    only the cubic relation is checked, for every operator of the module
-    in name order.
+    Returns ``(label, holds)`` pairs: the three vertex relations, then,
+    unless ``cubic`` is false, the cubic relation u^3 + P*u = 0 of each
+    operator.  Without a triple, only the cubic relation is checked, for
+    every operator of the module in name order.
 
     At a trivalent vertex an edge can appear at most twice (a loop), so a
     triple naming the same edge three times is rejected as ill-typed.
@@ -172,10 +175,11 @@ def check_vertex_relations(
         checks.append(("u2*u3 + u3*u1 + u1*u2 = P", w2 == linalg.mat_scale(P, ident)))
         triple = linalg.mat_mul(linalg.mat_mul(u1, u2), u3)
         checks.append(("u1*u2*u3 = 0", linalg.is_zero_matrix(triple)))
-    images = _image_equations(module)
-    for name in names:
-        cubic = linalg.mat_mul(module.operator(name), images[name])
-        checks.append((f"{name}^3 + P*{name} = 0", linalg.is_zero_matrix(cubic)))
+    if cubic:
+        images = _image_equations(module)
+        for name in names:
+            product = linalg.mat_mul(module.operator(name), images[name])
+            checks.append((f"{name}^3 + P*{name} = 0", linalg.is_zero_matrix(product)))
     return tuple(checks)
 
 

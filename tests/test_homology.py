@@ -114,6 +114,20 @@ class TestRankMemo:
         # one cross-check per seed used, none at the default seed
         assert calls == {"exact": 1, "randomized": 2}
 
+    def test_exact_rank_is_bounded_by_half_the_rank(self, monkeypatch):
+        bounds = []
+        exact = linalg.rank_frac_exact
+
+        def recorded(mat, max_rank=None):
+            bounds.append(max_rank)
+            return exact(mat, max_rank)
+
+        monkeypatch.setattr(linalg, "rank_frac_exact", recorded)
+        for k in range(5):
+            module = random_complex(k, 2 + k)
+            module.frac_rank()
+        assert bounds == [(2 + k) // 2 for k in range(5)]
+
     def test_fresh_seed_is_still_cross_checked(self, monkeypatch):
         module = cone_of_p()
         assert module.frac_rank() == 0  # the differential has rank 2

@@ -22,6 +22,7 @@ from webfoam.laurent import (
     ONE,
     P,
     T1,
+    T2,
     ZERO,
     gf2_divexact,
     gf2_mul,
@@ -38,6 +39,7 @@ from webfoam.linalg import (
     gf16_inv,
     gf16_mul,
     identity,
+    is_zero_matrix,
     mat_mul,
     nullspace_frac,
     rank_f2,
@@ -259,14 +261,28 @@ class TestRank:
             assert rank_frac_exact(mat) == rank_frac_exact(linalg.transpose(mat))
 
 
+def sparse_matrix(rng, rows, cols):
+    """A random matrix with at least half its entries zero."""
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    zero = set(rng.sample(cells, (len(cells) + 1) // 2))
+    return [
+        [ZERO if (i, j) in zero else random_poly(rng, 3, 1) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
 class TestBareissKernel:
     def test_gauss_jordan_form(self, rng):
         # with reduce_above, pivot i sits in row i and equals the last
         # pivot, every other pivot column is zero in that row, and the
-        # rows past the rank vanish; the plain form has the same pivots
-        for _ in range(30):
+        # rows past the rank vanish; the plain form has the same pivots.
+        # The last 30 matrices are at least half zero.
+        for trial in range(60):
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-            mat = [[random_poly(rng, 2, 1) for _ in range(cols)] for _ in range(rows)]
+            if trial < 30:
+                mat = [[random_poly(rng, 2, 1) for _ in range(cols)] for _ in range(rows)]
+            else:
+                mat = sparse_matrix(rng, rows, cols)
             reduced, pivots, last, _ = linalg._bareiss(mat, reduce_above=True)
             assert linalg._bareiss(mat, reduce_above=False)[1] == pivots
             assert len(pivots) == rank_frac_randomized(mat, random.Random(0))
@@ -417,6 +433,73 @@ class TestNullspace:
                     for a, b in zip(row, vec):
                         acc = acc + a * b
                     assert acc == ZERO
+
+
+class TestSparseKernel:
+    """Matrices at least half zero, so the kernel's zero-skipping updates run."""
+
+    def test_det_matches_laplace(self, rng):
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            mat = sparse_matrix(rng, n, n)
+            assert det_poly(mat) == laplace_det(mat)
+
+    def test_solve_unimodular(self, rng):
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            mat = unimodular(rng, n, rng.randint(1, n))
+            rhs = sparse_matrix(rng, n, rng.randint(1, 3))
+            solution = linalg.solve_unimodular(mat, rhs)
+            assert mat_mul(mat, solution) == rhs
+
+    def test_nullspace(self, rng):
+        for trial in range(30):
+            rows, cols = rng.randint(1, 5), rng.randint(2, 6)
+            mat = sparse_matrix(rng, rows, cols)
+            basis = nullspace_frac(mat)
+            assert len(basis) == cols - rank_frac_randomized(mat, random.Random(trial))
+            for vec in basis:
+                assert any(vec)
+                assert is_zero_matrix(mat_mul(mat, [[x] for x in vec]))
+
+
+class TestRankBound:
+    def test_bounded_rank_on_the_suite_modules(self):
+        # d*d = 0 bounds rank(d) by n // 2, the bound DifferentialModule uses
+        for k in range(200):
+            d = random_complex(k, 2 + k % 11).differential
+            n = len(d)
+            assert fraction_rank(d, max_rank=n // 2) == fraction_rank(d)
+
+    def test_a_bound_set_too_low_is_caught(self):
+        # with max_rank=1 the box is 2 x 2 x 1, so T1 -> t, T2 -> t^2 and
+        # det = T2 + T1^2 packs to t^2 + t^2 = 0: the exact route loses a
+        # pivot and the randomized rank exceeds it
+        mat = [[ONE, T1], [T1, T2]]
+        assert fraction_rank(mat) == 2
+        assert rank_frac_exact(mat, max_rank=1) == 1
+        with pytest.raises(InternalConsistencyError, match="exceeds exact rank"):
+            fraction_rank(mat, max_rank=1)
+
+    def test_a_bound_above_the_shape_changes_nothing(self, rng):
+        for _ in range(10):
+            mat = [[random_poly(rng, 2, 1) for _ in range(3)] for _ in range(4)]
+            assert linalg._bareiss(mat, False, max_rank=9) == linalg._bareiss(mat, False)
+
+
+class TestMatMul:
+    def test_matches_ring_products(self, rng):
+        for _ in range(30):
+            n, k, m = (rng.randint(1, 4) for _ in range(3))
+            a = sparse_matrix(rng, n, k) if rng.random() < 0.5 else [
+                [random_poly(rng, 3, 2) for _ in range(k)] for _ in range(n)
+            ]
+            b = [[random_poly(rng, 3, 2) for _ in range(m)] for _ in range(k)]
+            expected = [
+                [sum((a[i][t] * b[t][j] for t in range(k)), ZERO) for j in range(m)]
+                for i in range(n)
+            ]
+            assert mat_mul(a, b) == expected
 
 
 class TestRankF2:

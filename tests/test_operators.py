@@ -6,7 +6,7 @@ import pytest
 
 from webfoam.errors import InternalConsistencyError
 from webfoam.laurent import ONE, P, ZERO
-from webfoam import linalg, webs
+from webfoam import linalg, operators, webs
 from webfoam.operators import (
     OperatorModule,
     _check_projections,
@@ -110,6 +110,23 @@ class TestUnknotModule:
 
 
 class TestThetaModule:
+    def test_build_checks_each_cubic_relation_once(self, monkeypatch):
+        labels = []
+
+        def recorded(*args, **kwargs):
+            report = check_vertex_relations(*args, **kwargs)
+            labels.extend(name for name, _ in report)
+            return report
+
+        monkeypatch.setattr(operators, "check_vertex_relations", recorded)
+        theta_module.__wrapped__()
+        assert sorted(name for name in labels if "^3" in name) == [
+            f"e{i}^3 + P*e{i} = 0" for i in (1, 2, 3)
+        ]
+        assert sorted(name for name in labels if "^3" not in name) == [
+            "u1 + u2 + u3 = 0", "u1*u2*u3 = 0", "u2*u3 + u3*u1 + u1*u2 = P"
+        ]
+
     def test_vertex_relations_pass(self):
         report = check_vertex_relations(theta_module(), ("e1", "e2", "e3"))
         assert all(ok for _, ok in report)
