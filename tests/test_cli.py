@@ -471,6 +471,16 @@ class TestVerifyAll:
         assert code == 3
 
 
+CLI_OUTPUTS = json.loads((DATA / "cli_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(CLI_OUTPUTS))
+def test_output_is_pinned(capsys, command):
+    # stdout, stderr and exit code of each command, byte for byte
+    code, out, err = run(capsys, *command.split())
+    assert {"exit": code, "stdout": out, "stderr": err} == CLI_OUTPUTS[command]
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
         outputs = []
