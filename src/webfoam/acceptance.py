@@ -213,10 +213,10 @@ def check_unknot_model(ctx: CheckContext) -> Outcome:
 def check_theta_model(ctx: CheckContext) -> Outcome:
     problems: list[str] = []
     module = operators.theta_module()
-    for name, ok in operators.check_vertex_relations(module, ("e1", "e2", "e3")):
+    for name, ok in operators.check_vertex_relations(module):
         _fail(problems, ok, f"relation failed: {name}")
-    decomposition = operators.edge_decomposition(module, ("e1", "e2", "e3"))
-    for edge in ("e1", "e2", "e3"):
+    decomposition = operators.edge_decomposition(module)
+    for edge in module.edge_ids:
         r = decomposition.rank([edge])
         _fail(problems, r == 2, f"summand for {{{edge}}} has rank {r} != 2")
     for subset, r in decomposition.subset_ranks.items():

@@ -13,7 +13,9 @@ Web and complex arguments are file paths; a bare name (``dodecahedron``)
 falls back to the shipped corpus.  Output is deterministic byte-for-byte
 for fixed inputs and flags (the opt-in ``verify-all --timings`` column is
 the one exception); ``--json`` switches every subcommand to a
-machine-readable report.
+machine-readable report.  Each handler computes through the library and
+returns its exit code, its report and its text lines; :func:`main` alone
+prints, the report as JSON under ``--json`` and the lines otherwise.
 
 Exit codes: 0 success, 1 failed checks, 2 usage error, 3 malformed
 input, 4 invalid web or complex, 5 internal consistency failure.
@@ -62,10 +64,6 @@ def __getattr__(name: str):
 
         return getattr(foams, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _emit_json(data: object) -> None:
-    print(json.dumps(data, sort_keys=True, indent=2))
 
 
 def _status_line(ok: bool, label: str) -> str:
@@ -205,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_foam(args: argparse.Namespace) -> int:
+def _cmd_foam(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     from . import foams
 
     if args.foam_command == "sphere":
@@ -214,40 +212,10 @@ def _cmd_foam(args: argparse.Namespace) -> int:
     else:
         value = foams.eval_theta(*args.dots)
         label = f"theta({', '.join(str(m) for m in args.dots)})"
-    if args.json:
-        _emit_json({"foam": label, "value": str(value)})
-    else:
-        print(value)
-    return EXIT_OK
+    return EXIT_OK, {"foam": label, "value": str(value)}, [str(value)]
 
 
-def _web_summary(web: webs.Web) -> dict:
-    from . import webs
-
-    kinds = {"edge": 0, "loop": 0, "circle": 0}
-    for e in web.edges:
-        kinds[e.kind] += 1
-    # a 1-set of the web is one 1-set of each component plus any subset of
-    # the circles, and circles have no vertices, so evenness is unchanged
-    ones = even = 1 << kinds["circle"]
-    for part in webs.components(web):
-        sets = webs.one_sets(part)
-        ones *= len(sets)
-        even *= sum(webs.is_even(webs.complement_cycles(part, s)) for s in sets)
-    return {
-        "name": web.name,
-        "vertices": len(web.vertices),
-        "edges": kinds["edge"],
-        "loops": kinds["loop"],
-        "circles": kinds["circle"],
-        "one_sets": ones,
-        "even_one_sets": even,
-        "declared_planar": web.planar,
-        "abstract_planar": webs.is_abstract_planar(web),
-    }
-
-
-def _cmd_web(args: argparse.Namespace) -> int:
+def _cmd_web(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     from . import webs
 
     web = _resolve_web(args.web).validate()
@@ -256,13 +224,19 @@ def _cmd_web(args: argparse.Namespace) -> int:
     sys.set_int_max_str_digits(0)
     try:
         if args.web_command == "info":
-            summary = _web_summary(web)
-            if args.json:
-                _emit_json(summary)
-            else:
-                for key in sorted(summary):
-                    print(f"{key}: {summary[key]}")
-            return EXIT_OK
+            ones, even, _ = webs.one_set_census(web)
+            report = {
+                "name": web.name,
+                "vertices": len(web.vertices),
+                "edges": len(web.edges) - len(web.loops) - len(web.circles),
+                "loops": len(web.loops),
+                "circles": len(web.circles),
+                "one_sets": ones,
+                "even_one_sets": even,
+                "declared_planar": web.planar,
+                "abstract_planar": webs.is_abstract_planar(web),
+            }
+            return EXIT_OK, report, [f"{key}: {report[key]}" for key in sorted(report)]
         if args.web_command == "tait":
             bt = webs.count_tait_backtracking(web)
             mf = webs.count_tait_matching_formula(web)
@@ -270,42 +244,31 @@ def _cmd_web(args: argparse.Namespace) -> int:
                 raise InternalConsistencyError(
                     f"backtracking count {bt} != matching-formula count {mf}"
                 )
-            if args.json:
-                _emit_json({"web": web.name, "tait_colorings": bt})
-            else:
-                print(bt)
-            return EXIT_OK
+            return EXIT_OK, {"web": web.name, "tait_colorings": bt}, [str(bt)]
         # predict-rank
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             predicted = webs.predict_planar_rank(web)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
-        if args.json:
-            _emit_json(
-                {
-                    "web": web.name,
-                    "predicted_rank": predicted,
-                    "planar_backed": not caught,
-                }
-            )
-        else:
-            print(predicted)
-        return EXIT_OK
+        report = {
+            "web": web.name,
+            "predicted_rank": predicted,
+            "planar_backed": not caught,
+        }
+        return EXIT_OK, report, [str(predicted)]
     except RecursionError as exc:
         # the counters recurse once per edge
         raise InputError(f"{args.web}: too large for the exact counters") from exc
 
 
-def _cmd_ops(args: argparse.Namespace) -> int:
+def _cmd_ops(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     from . import operators
 
     if args.ops_command == "unknot":
         module = operators.unknot_module()
-        vertex = None
     else:
         module = operators.theta_module()
-        vertex = ("e1", "e2", "e3")
     report: dict = {"model": args.ops_command, "rank": module.rank}
     lines: list[str] = [f"model: {args.ops_command}", f"rank: {module.rank}"]
     failed = False
@@ -322,13 +285,13 @@ def _cmd_ops(args: argparse.Namespace) -> int:
                 lines.append("  [" + ", ".join(row) + "]")
 
     if args.check:
-        checks = operators.check_vertex_relations(module, vertex)
+        checks = operators.check_vertex_relations(module)
         report["checks"] = dict(checks)
         lines.extend(_status_line(ok, name) for name, ok in checks)
         failed |= not all(ok for _, ok in checks)
 
     if args.decompose:
-        decomposition = operators.edge_decomposition(module, vertex)
+        decomposition = operators.edge_decomposition(module)
         ranks = {
             "{" + ",".join(sorted(subset)) + "}": r
             for subset, r in decomposition.subset_ranks.items()
@@ -343,80 +306,24 @@ def _cmd_ops(args: argparse.Namespace) -> int:
             lines.extend(_status_line(ok, name) for name, ok in projections)
             failed |= not all(ok for _, ok in projections)
 
-    if args.json:
-        _emit_json(report)
-    else:
-        print("\n".join(lines))
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return (EXIT_CHECK_FAILED if failed else EXIT_OK), report, lines
 
 
-def _analyze_module(
-    module: homology.DifferentialModule,
-    directions: list[tuple[int, int, int]] | None,
-    seed: int,
-    as_json: bool,
-    label: str,
-) -> int:
-    from .homology import DIRECTIONS
-
-    directions = directions or list(DIRECTIONS)
-    reports = [module.bockstein(d, seed=seed) for d in directions]
-    data = {
-        "complex": label,
-        "rank": module.rank,
-        "frac_rank": module.frac_rank(seed=seed),
-        "f2_dim": module.f2_dim(),
-        "directions": [r.to_dict() for r in reports],
-    }
-    if module.two_term is not None:
-        ker, coker = module.two_term_ranks(seed=seed)
-        data["map_kernel_rank"] = ker
-        data["map_cokernel_rank"] = coker
-    if as_json:
-        _emit_json(data)
-    else:
-        print(f"complex: {label}")
-        print(f"rank: {module.rank}")
-        print(f"frac_rank: {data['frac_rank']}")
-        print(f"f2_dim: {data['f2_dim']}")
-        if "map_kernel_rank" in data:
-            print(
-                f"two-term map: kernel rank {data['map_kernel_rank']}, "
-                f"cokernel rank {data['map_cokernel_rank']}"
-            )
-        for r in reports:
-            torsion = (
-                "{" + ",".join(str(a) for a in r.torsion_exponents) + "}"
-                if r.torsion_exponents
-                else "{}"
-            )
-            print(
-                f"direction {','.join(str(c) for c in r.direction)}: "
-                f"r={r.r} l={r.l} torsion={torsion}"
-            )
-    return EXIT_OK
-
-
-def _cmd_complex(args: argparse.Namespace) -> int:
+def _cmd_complex(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     from . import homology
 
     if args.complex_command == "certify-order4":
         entries = homology.order_four_certificate()
         passed = all(ok for _, _, ok in entries)
-        if args.json:
-            _emit_json(
-                {
-                    "entries": [
-                        {"claim": claim, "computed": got, "passed": ok}
-                        for claim, got, ok in entries
-                    ],
-                    "passed": passed,
-                }
-            )
-        else:
-            for claim, got, ok in entries:
-                print(_status_line(ok, f"{claim}: {got}"))
-        return EXIT_OK if passed else EXIT_CHECK_FAILED
+        report = {
+            "entries": [
+                {"claim": claim, "computed": got, "passed": ok}
+                for claim, got, ok in entries
+            ],
+            "passed": passed,
+        }
+        lines = [_status_line(ok, f"{claim}: {got}") for claim, got, ok in entries]
+        return (EXIT_OK if passed else EXIT_CHECK_FAILED), report, lines
     if args.complex_command == "analyze":
         path = Path(args.complex)
         module = homology.load_complex(path)
@@ -427,10 +334,36 @@ def _cmd_complex(args: argparse.Namespace) -> int:
     else:
         module = homology.linked_handcuffs_model()
         label = "handcuffs-linked"
-    return _analyze_module(module, args.direction, args.seed, args.json, label)
+    directions = args.direction or homology.DIRECTIONS
+    reports = [module.bockstein(d, seed=args.seed) for d in directions]
+    report = {
+        "complex": label,
+        "rank": module.rank,
+        "frac_rank": module.frac_rank(seed=args.seed),
+        "f2_dim": module.f2_dim(),
+        "directions": [r.to_dict() for r in reports],
+    }
+    lines = [
+        f"complex: {label}",
+        f"rank: {module.rank}",
+        f"frac_rank: {report['frac_rank']}",
+        f"f2_dim: {report['f2_dim']}",
+    ]
+    if module.two_term is not None:
+        ker, coker = module.two_term_ranks(seed=args.seed)
+        report["map_kernel_rank"] = ker
+        report["map_cokernel_rank"] = coker
+        lines.append(f"two-term map: kernel rank {ker}, cokernel rank {coker}")
+    for r in reports:
+        torsion = "{" + ",".join(str(a) for a in r.torsion_exponents) + "}"
+        lines.append(
+            f"direction {','.join(str(c) for c in r.direction)}: "
+            f"r={r.r} l={r.l} torsion={torsion}"
+        )
+    return EXIT_OK, report, lines
 
 
-def _cmd_verify_all(args: argparse.Namespace) -> int:
+def _cmd_verify_all(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     from . import acceptance
 
     keys = None
@@ -443,44 +376,46 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
         results = acceptance.run_all(keys, corpus=corpus, seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if args.json:
-        payload = []
-        for r in results:
-            entry = r.to_dict()
-            if not args.timings:
-                del entry["seconds"]
-            payload.append(entry)
-        _emit_json(
-            {"checks": payload, "passed": all(r.passed for r in results)}
-        )
-    else:
-        width = max(len(r.key) for r in results)
-        for r in results:
-            stamp = f"  ({r.seconds:6.2f}s)" if args.timings else ""
-            print(_status_line(r.passed, f"{r.key:<{width}}{stamp}  {r.detail}"))
-        print("all checks passed" if all(r.passed for r in results) else "FAILURES")
+    passed = all(r.passed for r in results)
+    report = {
+        "checks": [
+            {k: v for k, v in r.to_dict().items() if args.timings or k != "seconds"}
+            for r in results
+        ],
+        "passed": passed,
+    }
+    width = max(len(r.key) for r in results)
+    lines = []
+    for r in results:
+        stamp = f"  ({r.seconds:6.2f}s)" if args.timings else ""
+        lines.append(_status_line(r.passed, f"{r.key:<{width}}{stamp}  {r.detail}"))
+    lines.append("all checks passed" if passed else "FAILURES")
     internal = [r for r in results if r.internal_error]
     for r in internal:
         print(f"{r.key}: {r.detail}", file=sys.stderr)
     if internal:
-        return EXIT_INTERNAL
-    return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
+        return EXIT_INTERNAL, report, lines
+    return (EXIT_OK if passed else EXIT_CHECK_FAILED), report, lines
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     digit_limit = sys.get_int_max_str_digits()
+    handler = {
+        "foam": _cmd_foam,
+        "web": _cmd_web,
+        "ops": _cmd_ops,
+        "complex": _cmd_complex,
+        "verify-all": _cmd_verify_all,
+    }[args.command]
     try:
-        if args.command == "foam":
-            return _cmd_foam(args)
-        if args.command == "web":
-            return _cmd_web(args)
-        if args.command == "ops":
-            return _cmd_ops(args)
-        if args.command == "complex":
-            return _cmd_complex(args)
-        return _cmd_verify_all(args)
+        code, report, lines = handler(args)
+        if args.json:
+            print(json.dumps(report, sort_keys=True, indent=2))
+        else:
+            print("\n".join(lines))
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

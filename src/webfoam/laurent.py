@@ -503,14 +503,14 @@ def gf2_from_exponents(exps: Iterable[int]) -> int:
 def gf2_mul(a: int, b: int) -> int:
     """Carry-less product of two F2[t] polynomials.
 
-    One shift and xor for each set bit of the sparser operand.  A
-    word-sized operand gives up its lowest bit at a time; a longer one
-    lists its bits in one pass (:func:`gf2_exponents`).
+    One shift and xor for each set bit of the sparser operand.  An
+    operand of a few terms gives up its lowest bit at a time; a denser
+    one lists its bits in one pass (:func:`gf2_exponents`).
     """
     if a.bit_count() > b.bit_count():
         a, b = b, a
     result = 0
-    if a.bit_length() > 64:
+    if a.bit_count() > 8:
         for k in gf2_exponents(a):
             result ^= b << k
         return result

@@ -2,13 +2,15 @@
 
 An :class:`OperatorModule` is a free module over the Laurent ring with a
 named, pairwise-commuting family of endomorphisms, each satisfying the
-cubic relation u^3 + P*u = 0.  Two concrete models ship here:
+cubic relation u^3 + P*u = 0, and a list of vertices, each three edge
+ids whose operators satisfy the vertex relations.  The constructor
+checks every relation once.  Two concrete models ship here:
 
-* :func:`unknot_module` -- rank 3, one operator, with the explicit
-  matrix ((0,0,0),(1,0,P),(0,1,0)) acting on columns;
-* :func:`theta_module` -- rank 6, three operators, derived from the
-  theta-foam pairing: the Gram matrix of the six basis elements is
-  unimodular, and each operator's matrix is the unique solution of
+* :func:`unknot_module` -- rank 3, one operator and no vertex, with the
+  explicit matrix ((0,0,0),(1,0,P),(0,1,0)) acting on columns;
+* :func:`theta_module` -- rank 6, three operators at one vertex, derived
+  from the theta-foam pairing: the Gram matrix of the six basis elements
+  is unimodular, and each operator's matrix is the unique solution of
   ``gram @ u = moved`` where ``moved`` pairs the basis against the basis
   with one extra dot on the corresponding disk.
 
@@ -43,11 +45,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorModule:
-    """Free module with commuting edge operators obeying u^3 + P u = 0."""
+    """Free module with commuting edge operators obeying u^3 + P u = 0.
+
+    ``vertices`` lists the trivalent vertices of the web, each as the ids
+    of its three incident edges; the vertex relations hold at each.
+    """
 
     rank: int
     basis_labels: tuple
     operators: dict[str, Matrix]
+    vertices: tuple[tuple[str, str, str], ...] = ()
 
     def __post_init__(self):
         if len(self.basis_labels) != self.rank:
@@ -55,16 +62,26 @@ class OperatorModule:
         for name, mat in self.operators.items():
             if len(mat) != self.rank or any(len(row) != self.rank for row in mat):
                 raise ValueError(f"operator {name!r} is not {self.rank}x{self.rank}")
-        self.check_relations()
-
-    def check_relations(self) -> None:
-        """Cubic relation and pairwise commutation, as exact identities."""
-        named = sorted(self.operators.items())
-        for (name, _), (_, ok) in zip(named, check_vertex_relations(self)):
+        for triple in self.vertices:
+            # an edge meets a trivalent vertex at most twice (a loop)
+            if len(set(triple)) == 1:
+                raise ValueError(
+                    f"edge {triple[0]!r} cannot account for all three incidences "
+                    "of a trivalent vertex"
+                )
+            missing = [e for e in triple if e not in self.operators]
+            if missing:
+                raise ValueError(f"module has no operator named {missing[0]!r}")
+        # three vertex relations per vertex, then one cubic relation per operator
+        owners = [None] * (3 * len(self.vertices)) + list(self.edge_ids)
+        for (label, ok), name in zip(check_vertex_relations(self), owners):
             if not ok:
                 raise InternalConsistencyError(
-                    f"operator {name!r} violates u^3 + P*u = 0"
+                    f"operators violate {label}"
+                    if name is None
+                    else f"operator {name!r} violates u^3 + P*u = 0"
                 )
+        named = sorted(self.operators.items())
         for (na, a), (nb, b) in itertools.combinations(named, 2):
             if linalg.mat_mul(a, b) != linalg.mat_mul(b, a):
                 raise InternalConsistencyError(
@@ -120,66 +137,38 @@ def theta_module() -> OperatorModule:
             for a in THETA_BASIS_DOTS
         ]
         operators[f"e{i + 1}"] = linalg.solve_unimodular(gram, moved)
-    module = OperatorModule(
-        rank=6, basis_labels=THETA_BASIS_DOTS, operators=operators
+    return OperatorModule(
+        rank=6,
+        basis_labels=THETA_BASIS_DOTS,
+        operators=operators,
+        vertices=(("e1", "e2", "e3"),),
     )
-    _check_theta_relations(module)
-    return module
 
 
-def _check_theta_relations(module: OperatorModule) -> None:
-    # the constructor has checked each operator's cubic relation already
-    for name, ok in check_vertex_relations(module, ("e1", "e2", "e3"), cubic=False):
-        if not ok:
-            raise InternalConsistencyError(f"theta operators violate {name}")
+def check_vertex_relations(module: OperatorModule) -> tuple[tuple[str, bool], ...]:
+    """Verify the relations of the module's operators.
 
-
-def check_vertex_relations(
-    module: OperatorModule,
-    incident: tuple[str, str, str] | None = None,
-    cubic: bool = True,
-) -> tuple[tuple[str, bool], ...]:
-    """Verify the vertex relations for three incident edge operators.
-
-    Returns ``(label, holds)`` pairs: the three vertex relations, then,
-    unless ``cubic`` is false, the cubic relation u^3 + P*u = 0 of each
-    operator.  Without a triple, only the cubic relation is checked, for
-    every operator of the module in name order.
-
-    At a trivalent vertex an edge can appear at most twice (a loop), so a
-    triple naming the same edge three times is rejected as ill-typed.
+    Returns ``(label, holds)`` pairs: the three vertex relations at each
+    vertex the module lists, then the cubic relation u^3 + P*u = 0 of
+    every operator, in name order.
     """
     checks = []
-    if incident is None:
-        names = sorted(module.operators)
-    else:
-        if len(incident) != 3:
-            raise ValueError("expected exactly three incident edge ids")
-        if len(set(incident)) == 1:
-            raise ValueError(
-                f"edge {incident[0]!r} cannot account for all three incidences "
-                "of a trivalent vertex"
-            )
-        missing = [e for e in incident if e not in module.operators]
-        if missing:
-            raise ValueError(f"module has no operator named {missing[0]!r}")
-        names = incident
-        u1, u2, u3 = (module.operator(e) for e in incident)
-        ident = linalg.identity(module.rank)
+    p_ident = linalg.mat_scale(P, linalg.identity(module.rank))
+    for vertex in module.vertices:
+        u1, u2, u3 = (module.operator(e) for e in vertex)
         total = linalg.mat_add(linalg.mat_add(u1, u2), u3)
         checks.append(("u1 + u2 + u3 = 0", linalg.is_zero_matrix(total)))
         w2 = linalg.mat_add(
             linalg.mat_add(linalg.mat_mul(u2, u3), linalg.mat_mul(u3, u1)),
             linalg.mat_mul(u1, u2),
         )
-        checks.append(("u2*u3 + u3*u1 + u1*u2 = P", w2 == linalg.mat_scale(P, ident)))
+        checks.append(("u2*u3 + u3*u1 + u1*u2 = P", w2 == p_ident))
         triple = linalg.mat_mul(linalg.mat_mul(u1, u2), u3)
         checks.append(("u1*u2*u3 = 0", linalg.is_zero_matrix(triple)))
-    if cubic:
-        images = _image_equations(module)
-        for name in names:
-            product = linalg.mat_mul(module.operator(name), images[name])
-            checks.append((f"{name}^3 + P*{name} = 0", linalg.is_zero_matrix(product)))
+    images = _image_equations(module)
+    for name in module.edge_ids:
+        product = linalg.mat_mul(module.operator(name), images[name])
+        checks.append((f"{name}^3 + P*{name} = 0", linalg.is_zero_matrix(product)))
     return tuple(checks)
 
 
@@ -232,9 +221,9 @@ def edge_decomposition(
     for e in s with im(u_e) for e outside s.  Ranks over all subsets must
     sum to the module rank; violation is an internal error.
 
-    When ``vertex_edges`` names three operators forming a vertex, the
-    associated projections pi_i = (1/P) * u_j * u_k are also verified to
-    be idempotent, orthogonal, and to sum to the identity.
+    At each vertex the module lists (or at ``vertex_edges`` alone, when
+    given), the associated projections pi_i = (1/P) * u_j * u_k are also
+    verified to be idempotent, orthogonal, and to sum to the identity.
     """
     edge_ids = module.edge_ids
     images = _image_equations(module)
@@ -251,10 +240,10 @@ def edge_decomposition(
         raise InternalConsistencyError(
             f"summand ranks total {total}, expected {module.rank}"
         )
-
-    projection_checks: tuple[tuple[str, bool], ...] = ()
-    if vertex_edges is not None:
-        projection_checks = _check_projections(module, vertex_edges)
+    vertices = module.vertices if vertex_edges is None else (vertex_edges,)
+    projection_checks = tuple(
+        check for vertex in vertices for check in _check_projections(module, vertex)
+    )
     return EdgeDecomposition(module, subset_ranks, projection_checks)
 
 

@@ -11,11 +11,13 @@ The module provides
 * 1-set (perfect matching) enumeration on the vertex part, as frozensets
   of edge ids; the vertex counts of the complementary cycles of a 1-set;
   and one evenness test on those counts (every cycle even);
+* the 1-set census of a web: its 1-sets, its even 1-sets, and the
+  matching-formula count ``sum over even 1-sets s of 2^n(s)`` where
+  ``n(s)`` is the number of complementary cycles;
 * two independent Tait-coloring counters: direct backtracking over edge
   colorings in an edge order fixed before the search, and the
-  matching-formula count ``sum over even 1-sets s of 2^n(s)`` where
-  ``n(s)`` is the number of complementary cycles.  Both count each
-  connected component alone and multiply, with a factor 3 per circle;
+  matching-formula count from the census.  Both count each connected
+  component alone and multiply, with a factor 3 per circle;
 * the planar rank prediction (the matching-formula count, which is a
   theorem only for planar webs -- non-planar inputs get a warning), with
   a planarity test of the underlying graph by path addition per block;
@@ -39,6 +41,7 @@ __all__ = [
     "Edge",
     "Web",
     "one_sets",
+    "one_set_census",
     "components",
     "complement_cycles",
     "is_even",
@@ -141,40 +144,48 @@ def one_sets(web: Web) -> list[frozenset[str]]:
     vertex, so loops never occur in a 1-set.  Free circles never appear
     either; a caller counting 1-sets of the whole web doubles the count
     for each circle.
+
+    The search always matches the first uncovered vertex in a breadth-first
+    order of each component, so a vertex left without partners shows early.
     """
     web.validate()
-    regular = [e for e in web.edges if e.kind == "edge"]
-    incident: dict[str, list[Edge]] = {v: [] for v in web.vertices}
-    for e in regular:
-        for v in e.ends:
-            incident[v].append(e)
+    partners: dict[str, list[tuple[str, str]]] = {v: [] for v in web.vertices}
+    for e in web.edges:
+        if e.kind == "edge":
+            a, b = e.ends
+            partners[a].append((e.id, b))
+            partners[b].append((e.id, a))
+    seen: dict[str, None] = {}  # an ordered set
+    for root in web.vertices:
+        if root not in seen:
+            seen[root] = None
+            queue = [root]
+            for v in queue:
+                for _, w in partners[v]:
+                    if w not in seen:
+                        seen[w] = None
+                        queue.append(w)
+    order = list(seen)
 
     matchings: list[frozenset[str]] = []
-    chosen: list[str] = []
     covered: set[str] = set()
 
-    def extend() -> None:
-        uncovered = [v for v in web.vertices if v not in covered]
-        if not uncovered:
+    def extend(i: int, chosen: tuple[str, ...]) -> None:
+        while i < len(order) and order[i] in covered:
+            i += 1
+        if i == len(order):
             matchings.append(frozenset(chosen))
             return
-        # most-constrained vertex first
-        def candidates(v: str) -> list[Edge]:
-            return [
-                e
-                for e in incident[v]
-                if e.ends[0] not in covered and e.ends[1] not in covered
-            ]
+        v = order[i]
+        covered.add(v)
+        for edge_id, w in partners[v]:
+            if w not in covered:
+                covered.add(w)
+                extend(i + 1, chosen + (edge_id,))
+                covered.remove(w)
+        covered.remove(v)
 
-        v = min(uncovered, key=lambda u: len(candidates(u)))
-        for e in candidates(v):
-            covered.update(e.ends)
-            chosen.append(e.id)
-            extend()
-            chosen.pop()
-            covered.difference_update(e.ends)
-
-    extend()
+    extend(0, ())
     return matchings
 
 
@@ -298,19 +309,29 @@ def _count_colorings(edges: tuple[Edge, ...]) -> int:
     return count(0)
 
 
-def count_tait_matching_formula(web: Web) -> int:
-    """Tait-coloring count via even 1-sets: sum of 2^n(s), per component.
+def one_set_census(web: Web) -> tuple[int, int, int]:
+    """The 1-sets, the even 1-sets, and the sum of 2^n(s) over the even 1-sets.
 
     A 1-set of the web is one 1-set of each component, plus any subset of
-    the free circles.  A circle is either in the 1-set or one more (even)
-    complementary circle, so it contributes a factor 1 + 2 = 3, and the
-    sums over the components' 1-sets multiply.
+    the free circles, so the counts multiply over the components.  A
+    circle is in the 1-set or not (a factor 2 on the 1-sets), keeps every
+    cycle even either way (a factor 2 on the even ones), and outside the
+    1-set is one more complementary cycle, so it weighs 1 + 2 = 3 in the sum.
     """
-    total = 3 ** len(web.circles)
+    circles = len(web.circles)
+    ones, even, weighted = 2**circles, 2**circles, 3**circles
     for part in components(web):
-        cycle_counts = (complement_cycles(part, s) for s in one_sets(part))
-        total *= sum(1 << len(c) for c in cycle_counts if is_even(c))
-    return total
+        cycles = [complement_cycles(part, s) for s in one_sets(part)]
+        even_cycles = [c for c in cycles if is_even(c)]
+        ones *= len(cycles)
+        even *= len(even_cycles)
+        weighted *= sum(1 << len(c) for c in even_cycles)
+    return ones, even, weighted
+
+
+def count_tait_matching_formula(web: Web) -> int:
+    """Tait-coloring count via even 1-sets: sum of 2^n(s) over the even 1-sets s."""
+    return one_set_census(web)[2]
 
 
 def is_abstract_planar(web: Web) -> bool:

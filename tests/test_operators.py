@@ -103,10 +103,8 @@ class TestUnknotModule:
 
 
     def test_cubic_relation_without_a_vertex(self):
+        assert unknot_module().vertices == ()
         assert check_vertex_relations(unknot_module()) == (("e^3 + P*e = 0", True),)
-        assert check_vertex_relations(theta_module()) == tuple(
-            (f"e{i}^3 + P*e{i} = 0", True) for i in (1, 2, 3)
-        )
 
 
 class TestThetaModule:
@@ -128,12 +126,15 @@ class TestThetaModule:
         ]
 
     def test_vertex_relations_pass(self):
-        report = check_vertex_relations(theta_module(), ("e1", "e2", "e3"))
-        assert all(ok for _, ok in report)
-        names = [name for name, _ in report]
-        assert "u1 + u2 + u3 = 0" in names
-        assert "u2*u3 + u3*u1 + u1*u2 = P" in names
-        assert "u1*u2*u3 = 0" in names
+        # the vertex relations at the one vertex, then the cubic ones in name order
+        assert theta_module().vertices == (("e1", "e2", "e3"),)
+        assert check_vertex_relations(theta_module()) == tuple(
+            (label, True)
+            for label in (
+                "u1 + u2 + u3 = 0", "u2*u3 + u3*u1 + u1*u2 = P", "u1*u2*u3 = 0",
+                "e1^3 + P*e1 = 0", "e2^3 + P*e2 = 0", "e3^3 + P*e3 = 0",
+            )
+        )
 
     def test_u3_is_the_dot_shift(self):
         # adding a dot on the third disk steps the last index, falling back
@@ -167,14 +168,19 @@ class TestThetaModule:
                 assert ab == ba
 
     def test_decomposition_ranks(self):
-        dec = edge_decomposition(theta_module(), ("e1", "e2", "e3"))
+        dec = edge_decomposition(theta_module())
         for edge in ("e1", "e2", "e3"):
             assert dec.rank([edge]) == 2
         assert dec.rank([]) == 0  # intersection of all three images
         assert dec.rank(["e1", "e2"]) == 0
         assert dec.rank(["e1", "e2", "e3"]) == 0
         assert sum(dec.subset_ranks.values()) == 6
+        # the projections are checked at the module's vertex, or at one named
+        assert len(dec.projection_checks) == 7
         assert all(ok for _, ok in dec.projection_checks)
+        named = edge_decomposition(theta_module(), ("e1", "e2", "e3"))
+        assert named.projection_checks == dec.projection_checks
+        assert edge_decomposition(unknot_module()).projection_checks == ()
 
     def test_summand_basis_lies_in_the_summand(self):
         module = theta_module()
@@ -229,7 +235,7 @@ class TestKernelForm:
             return real(mat)
 
         monkeypatch.setattr(linalg, "nullspace_frac", counted)
-        edge_decomposition(module, ("e1", "e2", "e3"))
+        edge_decomposition(module)
         assert calls == []
 
     @pytest.mark.parametrize("name, tait", [("unknot", 3), ("theta", 6)])
@@ -248,11 +254,34 @@ class TestKernelForm:
 class TestGuards:
     def test_all_equal_triple_rejected(self):
         with pytest.raises(ValueError, match="cannot account"):
-            check_vertex_relations(unknot_module(), ("e", "e", "e"))
+            OperatorModule(
+                rank=3,
+                basis_labels=(0, 1, 2),
+                operators={"e": UNKNOT_MATRIX},
+                vertices=(("e", "e", "e"),),
+            )
 
     def test_unknown_operator_rejected(self):
-        with pytest.raises(ValueError, match="no operator"):
-            check_vertex_relations(theta_module(), ("e1", "e2", "zz"))
+        theta = theta_module()
+        with pytest.raises(ValueError, match="no operator named 'zz'"):
+            OperatorModule(
+                rank=6,
+                basis_labels=theta.basis_labels,
+                operators=theta.operators,
+                vertices=(("e1", "e2", "zz"),),
+            )
+
+    def test_constructor_rejects_broken_vertex_relation(self):
+        # a loop meets its vertex twice: u_a + u_b + u_a = u_b is not zero
+        module = unknot_direct_sum()
+        message = "operators violate u1 \\+ u2 \\+ u3 = 0"
+        with pytest.raises(InternalConsistencyError, match=message):
+            OperatorModule(
+                rank=6,
+                basis_labels=module.basis_labels,
+                operators=module.operators,
+                vertices=(("a", "b", "a"),),
+            )
 
     def test_constructor_rejects_broken_cubic_relation(self):
         broken = [row[:] for row in UNKNOT_MATRIX]
@@ -279,13 +308,15 @@ class TestGuards:
                 name: [row[:] for row in mat]
                 for name, mat in theta_module().operators.items()
             },
+            vertices=theta_module().vertices,
         )
         module.operators["e2"][0][0] = module.operators["e2"][0][0] + ONE
         return module
 
     def test_corrupted_module_fails_some_relation(self):
-        report = check_vertex_relations(self.corrupted_theta(), ("e1", "e2", "e3"))
-        assert not all(ok for _, ok in report)
+        report = dict(check_vertex_relations(self.corrupted_theta()))
+        assert not report["u1 + u2 + u3 = 0"]
+        assert not all(report.values())
 
     def test_projection_identities_catch_a_corrupted_module(self):
         edges = ("e1", "e2", "e3")

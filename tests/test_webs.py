@@ -28,6 +28,7 @@ from webfoam.webs import (
     is_abstract_planar,
     is_even,
     load_web,
+    one_set_census,
     one_sets,
     predict_planar_rank,
     web_from_dict,
@@ -194,6 +195,73 @@ class TestEvenness:
                 cycles = nx.connected_components(complement_graph(web, s))
                 expected = all(sum(ends[v] for v in c) % 2 == 0 for c in cycles)
                 assert is_even(complement_cycles(web, s)) == expected
+
+
+def brute_force_census(web: Web) -> tuple[int, int, int]:
+    """Oracle: each 1-set of the vertex part with each subset of the circles.
+
+    A circle outside the subset is one more complementary cycle, with no
+    vertices.
+    """
+    circles = [e.id for e in web.circles]
+    ones = even = weighted = 0
+    for s in brute_force_one_sets(web):
+        cycles = complement_cycles(web, s)
+        for k in range(len(circles) + 1):
+            for _ in itertools.combinations(circles, k):
+                counts = cycles + [0] * (len(circles) - k)
+                ones += 1
+                if is_even(counts):
+                    even += 1
+                    weighted += 2 ** len(counts)
+    return ones, even, weighted
+
+
+def circles(n: int) -> Web:
+    return Web("circles", (), tuple(Edge(f"c{i}", ()) for i in range(n)), True)
+
+
+class TestOneSetCensus:
+    def test_matches_brute_force(self):
+        # the dodecahedron's 2^30 edge subsets are out of reach (see below)
+        webs_ = [web for n in (2, 4, 6, 8) for web in generate_connected_cubic(n)]
+        webs_ += [corpus_web(name) for name in corpus_names() if name != "dodecahedron"]
+        webs_ += [
+            disjoint_union(THETA, circles(2)),
+            disjoint_union(HANDCUFFS, circles(3)),
+            disjoint_union(disjoint_union(THETA, THETA), UNKNOT),
+        ]
+        for web in webs_:
+            census = one_set_census(web)
+            assert census == brute_force_census(web), web.name
+            assert census[2] == count_tait_backtracking(web), web.name
+
+    def test_dodecahedron(self):
+        # 36 perfect matchings; each of the 30 Hamiltonian cycles is the
+        # complement of an even one, with 2 colorings each, and 30 * 2 = 60
+        # Tait colorings leave no room for other even 1-sets
+        web = corpus_web("dodecahedron")
+        assert one_set_census(web) == (36, 30, 60)
+        assert count_tait_backtracking(web) == 60
+
+    def test_unions_beyond_brute_force(self):
+        # the circle and theta unions of the CLI's adversarial inputs
+        thetas = THETA
+        for _ in range(11):
+            thetas = disjoint_union(thetas, THETA)
+        cases = [
+            (circles(40), (2**40, 2**40, 3**40)),
+            (disjoint_union(THETA, circles(30)), (3 * 2**30, 3 * 2**30, 6 * 3**30)),
+            (thetas, (3**12, 3**12, 6**12)),
+        ]
+        for web, expected in cases:
+            assert one_set_census(web) == expected
+            assert count_tait_backtracking(web) == expected[2]
+
+    def test_matching_formula_is_the_third_count(self):
+        for name in corpus_names():
+            web = corpus_web(name)
+            assert count_tait_matching_formula(web) == one_set_census(web)[2]
 
 
 CORPUS_COUNTS = {
