@@ -489,10 +489,14 @@ def gf2_exponents(a: int) -> list[int]:
 
 
 def gf2_from_exponents(exps: Iterable[int]) -> int:
-    """Bit-packed F2[t] polynomial with the given distinct exponents."""
+    """Bit-packed F2[t] polynomial with the given distinct exponents: or-ed in
+    one shift at a time, or over 64 of them as one string of digits."""
     exps = list(exps)
-    if not exps:
-        return 0
+    if len(exps) <= 64:
+        result = 0
+        for e in exps:
+            result |= 1 << e
+        return result
     top = max(exps)
     digits = bytearray(b"0") * (top + 1)
     for e in exps:

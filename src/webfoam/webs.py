@@ -147,14 +147,10 @@ def one_sets(web: Web) -> list[frozenset[str]]:
 
     The search always matches the first uncovered vertex in a breadth-first
     order of each component, so a vertex left without partners shows early.
+    A loop leads back to its own vertex, so both the order and the search skip it.
     """
     web.validate()
-    partners: dict[str, list[tuple[str, str]]] = {v: [] for v in web.vertices}
-    for e in web.edges:
-        if e.kind == "edge":
-            a, b = e.ends
-            partners[a].append((e.id, b))
-            partners[b].append((e.id, a))
+    partners = _incidences(web)
     seen: dict[str, None] = {}  # an ordered set
     for root in web.vertices:
         if root not in seen:
@@ -233,8 +229,10 @@ def complement_cycles(web: Web, s: Iterable[str]) -> list[int]:
 
     Every vertex of a trivalent web meets exactly two complement
     incidences (a loop counting twice), so each connected component of
-    the complement is one cycle.  Free circles are left out.
+    the complement is one cycle.  Cycles come in the order of their first
+    vertex in ``web.vertices``; free circles are left out.
     """
+    web.validate()
     s = frozenset(s)
     hits = dict.fromkeys(web.vertices, 0)
     known = 0
@@ -248,8 +246,37 @@ def complement_cycles(web: Web, s: Iterable[str]) -> list[int]:
         raise ValidationError(f"unknown edge ids: {sorted(stray)}")
     if any(h != 1 for h in hits.values()):
         raise ValidationError("edge subset is not a 1-set")
-    root = _roots(web.vertices, (e for e in web.edges if e.id not in s))
-    return list(Counter(root.values()).values())
+    return _cycle_lengths(_incidences(web), s)
+
+
+def _incidences(web: Web) -> dict[str, list[tuple[str, str]]]:
+    """Each vertex's ``(edge id, other end)`` pairs; a loop is listed twice."""
+    inc: dict[str, list[tuple[str, str]]] = {v: [] for v in web.vertices}
+    for e in web.edges:
+        if e.ends:
+            a, b = e.ends[0], e.ends[-1]
+            inc[a].append((e.id, b))
+            inc[b].append((e.id, a))
+    return inc
+
+
+def _cycle_lengths(inc: dict[str, list[tuple[str, str]]], s: frozenset[str]) -> list[int]:
+    """Vertex counts of the complement cycles of the 1-set ``s``, walked one
+    at a time and ordered by their first vertex in ``inc``."""
+    seen: set[str] = set()
+    lengths = []
+    for v in inc:
+        came, n = None, 0
+        while v not in seen:
+            seen.add(v)
+            n += 1
+            for e, w in inc[v]:
+                if e != came and e not in s:
+                    break
+            v, came = w, e
+        if n:
+            lengths.append(n)
+    return lengths
 
 
 def is_even(cycles: Iterable[int]) -> bool:
@@ -278,22 +305,34 @@ def count_tait_backtracking(web: Web) -> int:
 
 
 def _count_colorings(edges: tuple[Edge, ...]) -> int:
-    """Proper 3-edge-colorings of a loopless set of edges, by backtracking.
+    """Proper 3-edge-colorings of one connected loopless component, by backtracking.
 
     The edge order is fixed before the search: the next edge is the one
-    that meets the most edges already ordered, counting both ends.
-    ``earlier[i]`` holds the positions of those edges for position ``i``.
+    that meets the most edges already ordered (``score``), counting both
+    ends, the lowest index first on ties.  ``earlier[i]`` holds the
+    positions of those edges for position ``i``.
+
+    Permuting the colors acts freely on proper colorings (every vertex
+    shows all three), and the first two edges of the order share a vertex,
+    so each orbit of six has one coloring that gives them colors 0 and 1.
     """
-    rest = list(edges)
-    at: dict[str, list[int]] = {}  # vertex -> positions of its ordered edges
-    earlier: list[list[int]] = []
-    while rest:
-        e = max(rest, key=lambda f: sum(len(at.get(v, ())) for v in f.ends))
-        rest.remove(e)
-        earlier.append([j for v in e.ends for j in at.get(v, ())])
+    at: dict[str, list[int]] = {}  # vertex -> indices of its edges
+    for j, e in enumerate(edges):
         for v in e.ends:
-            at.setdefault(v, []).append(len(earlier) - 1)
-    color = [0] * len(earlier)
+            at.setdefault(v, []).append(j)
+    score = dict.fromkeys(range(len(edges)), 0)  # over the unordered edges
+    position: dict[int, int] = {}
+    earlier: list[list[int]] = []
+    while score:
+        j = max(score, key=score.__getitem__)
+        del score[j]
+        near = [k for v in edges[j].ends for k in at[v]]
+        earlier.append([position[k] for k in near if k in position])
+        position[j] = len(earlier) - 1
+        for k in near:
+            if k in score:
+                score[k] += 1
+    color = [0, 1] + [0] * (len(earlier) - 2)
 
     def count(i: int) -> int:
         if i == len(earlier):
@@ -306,7 +345,7 @@ def _count_colorings(edges: tuple[Edge, ...]) -> int:
                 total += count(i + 1)
         return total
 
-    return count(0)
+    return 6 * count(2)
 
 
 def one_set_census(web: Web) -> tuple[int, int, int]:
@@ -321,7 +360,8 @@ def one_set_census(web: Web) -> tuple[int, int, int]:
     circles = len(web.circles)
     ones, even, weighted = 2**circles, 2**circles, 3**circles
     for part in components(web):
-        cycles = [complement_cycles(part, s) for s in one_sets(part)]
+        inc = _incidences(part)
+        cycles = [_cycle_lengths(inc, s) for s in one_sets(part)]
         even_cycles = [c for c in cycles if is_even(c)]
         ones *= len(cycles)
         even *= len(even_cycles)

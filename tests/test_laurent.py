@@ -18,6 +18,8 @@ from webfoam.laurent import (
     ZERO,
     eval_at_ones,
     format_line_image,
+    gf2_exponents,
+    gf2_from_exponents,
     gf2_mul,
     gf2_mul_one_plus_t_pow,
     gf2_valuation,
@@ -266,6 +268,21 @@ class TestUnivariate:
         assert gf2_pow(0b10, 5) == 1 << 5
         assert gf2_valuation(0b1100) == 2
         assert gf2_valuation(0) == math.inf
+
+    def test_from_exponents_matches_or_of_shifts(self):
+        # up to 64 terms are or-ed in; more fill a digit string
+        rng = random.Random(20241)
+        assert gf2_from_exponents([]) == 0
+        for top in (1, 64, 400, 1500):
+            for k in (1, 2, 4, 63, 64, 65, 200, top):
+                if k > top:
+                    continue
+                exps = rng.sample(range(top), k)
+                expected = 0
+                for e in exps:
+                    expected |= 1 << e
+                assert gf2_from_exponents(iter(exps)) == expected, (top, k)
+                assert gf2_exponents(expected) == sorted(exps, reverse=True)
 
     def test_frobenius_power_matches_repeated_squaring(self):
         rng = random.Random(20240)

@@ -167,13 +167,21 @@ class TestComplementCycles:
             complement_cycles(THETA, frozenset({"e1", "e2"}))
         with pytest.raises(ValidationError, match=r"unknown edge ids: \['x'\]"):
             complement_cycles(THETA, frozenset({"e1", "x"}))
+        # the walk needs two complement edges at every vertex
+        path = Web("path", ("v", "w"), (Edge("e", ("v", "w")),))
+        with pytest.raises(ValidationError, match="'v' has valence 1"):
+            complement_cycles(path, frozenset({"e"}))
 
     def test_components_partition_complement(self):
-        for web in generate_connected_cubic(8)[::7]:
+        # every graph up to 6 vertices brings in loops and parallel edges;
+        # the cycles come in the order of their first vertex
+        graphs = [web for n in (2, 4, 6) for web in generate_connected_cubic(n)]
+        for web in graphs + list(generate_connected_cubic(8)[::7]):
+            first = {v: i for i, v in enumerate(web.vertices)}.__getitem__
             for s in one_sets(web):
-                g = complement_graph(web, s)
-                sizes = sorted(len(c) for c in nx.connected_components(g))
-                assert sorted(complement_cycles(web, s)) == sizes
+                parts = nx.connected_components(complement_graph(web, s))
+                parts = sorted(parts, key=lambda c: min(map(first, c)))
+                assert complement_cycles(web, s) == [len(c) for c in parts]
 
 
 class TestEvenness:
@@ -264,6 +272,18 @@ class TestOneSetCensus:
             assert count_tait_matching_formula(web) == one_set_census(web)[2]
 
 
+def brute_force_colorings(web: Web) -> int:
+    """Oracle: filter all 3^m edge colorings by distinct colors at every vertex."""
+    at = {v: [] for v in web.vertices}
+    for i, e in enumerate(web.edges):
+        for v in e.incidences():
+            at[v].append(i)
+    return sum(
+        all(len({c[i] for i in ids}) == 3 for ids in at.values())
+        for c in itertools.product(range(3), repeat=len(web.edges))
+    )
+
+
 CORPUS_COUNTS = {
     "unknot": 3,
     "theta": 6,
@@ -283,6 +303,18 @@ class TestTaitCounts:
             web = corpus_web(name)
             assert count_tait_backtracking(web) == expected, name
             assert count_tait_matching_formula(web) == expected, name
+
+    def test_backtracking_matches_brute_force(self):
+        # no 1-sets involved; the union with a circle needs the factor 6 per
+        # component and the factor 3 per circle
+        webs_ = [
+            w for n in (2, 4, 6) for w in generate_connected_cubic(n) if not w.loops
+        ]
+        names = ("theta", "k4", "two_theta", "unknot", "handcuffs")
+        webs_ += [corpus_web(name) for name in names]
+        webs_.append(disjoint_union(disjoint_union(THETA, THETA), UNKNOT))
+        for web in webs_:
+            assert count_tait_backtracking(web) == brute_force_colorings(web), web.name
 
     def test_identity_on_generated_graphs(self):
         for n in (2, 4, 6, 8):
