@@ -489,19 +489,11 @@ def gf2_exponents(a: int) -> list[int]:
 
 
 def gf2_from_exponents(exps: Iterable[int]) -> int:
-    """Bit-packed F2[t] polynomial with the given distinct exponents: or-ed in
-    one shift at a time, or over 64 of them as one string of digits."""
-    exps = list(exps)
-    if len(exps) <= 64:
-        result = 0
-        for e in exps:
-            result |= 1 << e
-        return result
-    top = max(exps)
-    digits = bytearray(b"0") * (top + 1)
+    """Bit-packed F2[t] polynomial with the given distinct exponents."""
+    result = 0
     for e in exps:
-        digits[top - e] = 49  # ord("1")
-    return int(digits, 2)
+        result |= 1 << e
+    return result
 
 
 def gf2_mul(a: int, b: int) -> int:

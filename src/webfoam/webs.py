@@ -149,10 +149,13 @@ def one_sets(web: Web) -> list[frozenset[str]]:
     order of each component, so a vertex left without partners shows early.
     A loop leads back to its own vertex, so both the order and the search skip it.
     """
-    web.validate()
-    partners = _incidences(web)
+    return _one_sets(_incidences(web.validate()))
+
+
+def _one_sets(partners: dict[str, list[tuple[str, str]]]) -> list[frozenset[str]]:
+    """The body of ``one_sets`` over a web's incidences, in their vertex order."""
     seen: dict[str, None] = {}  # an ordered set
-    for root in web.vertices:
+    for root in partners:
         if root not in seen:
             seen[root] = None
             queue = [root]
@@ -230,7 +233,8 @@ def complement_cycles(web: Web, s: Iterable[str]) -> list[int]:
     Every vertex of a trivalent web meets exactly two complement
     incidences (a loop counting twice), so each connected component of
     the complement is one cycle.  Cycles come in the order of their first
-    vertex in ``web.vertices``; free circles are left out.
+    vertex in ``web.vertices``; free circles are left out.  The web must be
+    trivalent: any other web raises its valence ``ValidationError`` first.
     """
     web.validate()
     s = frozenset(s)
@@ -360,8 +364,8 @@ def one_set_census(web: Web) -> tuple[int, int, int]:
     circles = len(web.circles)
     ones, even, weighted = 2**circles, 2**circles, 3**circles
     for part in components(web):
-        inc = _incidences(part)
-        cycles = [_cycle_lengths(inc, s) for s in one_sets(part)]
+        inc = _incidences(part.validate())
+        cycles = [_cycle_lengths(inc, s) for s in _one_sets(inc)]
         even_cycles = [c for c in cycles if is_even(c)]
         ones *= len(cycles)
         even *= len(even_cycles)

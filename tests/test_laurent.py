@@ -269,8 +269,8 @@ class TestUnivariate:
         assert gf2_valuation(0b1100) == 2
         assert gf2_valuation(0) == math.inf
 
-    def test_from_exponents_matches_or_of_shifts(self):
-        # up to 64 terms are or-ed in; more fill a digit string
+    def test_from_exponents_matches_digit_string(self):
+        # sparse and dense inputs against the binary digits, top exponent first
         rng = random.Random(20241)
         assert gf2_from_exponents([]) == 0
         for top in (1, 64, 400, 1500):
@@ -278,9 +278,8 @@ class TestUnivariate:
                 if k > top:
                     continue
                 exps = rng.sample(range(top), k)
-                expected = 0
-                for e in exps:
-                    expected |= 1 << e
+                digits = "".join("1" if e in exps else "0" for e in range(top, -1, -1))
+                expected = int(digits, 2)
                 assert gf2_from_exponents(iter(exps)) == expected, (top, k)
                 assert gf2_exponents(expected) == sorted(exps, reverse=True)
 
