@@ -4,7 +4,7 @@ A web is stored abstractly (no spatial embedding): vertices are named,
 and each edge is a regular edge between two distinct vertices, a loop at
 a single vertex (counting twice toward its valence), or a free circle
 with no endpoints.  Webs with no vertices at all (disjoint circles) are
-valid.
+valid.  Each public call compiles its web once into an integer graph.
 
 The module provides
 
@@ -76,12 +76,6 @@ class Edge:
     def kind(self) -> str:
         return ("circle", "loop", "edge")[len(self.ends)]
 
-    def incidences(self) -> list[str]:
-        """Endpoint vertices with multiplicity: a loop lists its vertex twice."""
-        if len(self.ends) == 1:
-            return [self.ends[0], self.ends[0]]
-        return list(self.ends)
-
 
 @dataclass(frozen=True)
 class Web:
@@ -101,6 +95,8 @@ class Web:
             raise ValidationError("duplicate vertex names")
         known = set(self.vertices)
         for e in self.edges:
+            if len(e.ends) > 2:
+                raise ValidationError(f"edge {e.id!r} has more than two ends")
             if len(e.ends) == 2 and e.ends[0] == e.ends[1]:
                 raise ValidationError(
                     f"edge {e.id!r}: equal endpoints must use the loop form"
@@ -111,22 +107,8 @@ class Web:
 
     def validate(self) -> "Web":
         """Check trivalence at every vertex; report all offenders at once."""
-        degrees = self.degrees()
-        bad = [
-            f"vertex {v!r} has valence {degrees[v]}"
-            for v in self.vertices
-            if degrees[v] != 3
-        ]
-        if bad:
-            raise ValidationError("; ".join(bad))
+        _trivalent(self)
         return self
-
-    def degrees(self) -> dict[str, int]:
-        deg = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            for v in e.incidences():
-                deg[v] += 1
-        return deg
 
     @property
     def circles(self) -> tuple[Edge, ...]:
@@ -135,6 +117,67 @@ class Web:
     @property
     def loops(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.kind == "loop")
+
+
+_Incidences = list[list[tuple[int, int]]]
+
+
+class _Graph:
+    """A web compiled to integers, built once per public call and never kept.
+
+    Vertex ``i`` is ``web.vertices[i]`` and edge ``j`` is ``web.edges[j]``.
+    ``inc[i]`` lists the ``(edge, other end)`` pairs at vertex ``i`` in edge
+    order, a loop twice; ``loops`` and ``circles`` count those edges.
+    """
+
+    __slots__ = ("inc", "loops", "circles")
+
+    def __init__(self, web: Web):
+        index = {v: i for i, v in enumerate(web.vertices)}
+        inc: _Incidences = [[] for _ in index]
+        loops = circles = 0
+        for j, e in enumerate(web.edges):
+            ends = e.ends
+            if not ends:
+                circles += 1
+                continue
+            a, b = index[ends[0]], index[ends[-1]]
+            inc[a].append((j, b))
+            inc[b].append((j, a))
+            loops += a == b
+        self.inc, self.loops, self.circles = inc, loops, circles
+
+    def parts(self) -> list[list[int]]:
+        """Each connected component as a vertex list, from one breadth-first
+        pass: roots in vertex order, neighbours in incidence order."""
+        inc = self.inc
+        seen = [False] * len(inc)
+        parts = []
+        for root in range(len(inc)):
+            if not seen[root]:
+                seen[root] = True
+                part = [root]
+                for v in part:
+                    for _, w in inc[v]:
+                        if not seen[w]:
+                            seen[w] = True
+                            part.append(w)
+                parts.append(part)
+        return parts
+
+
+def _trivalent(web: Web) -> _Graph:
+    """The compiled graph of ``web``, which must be trivalent: any other web
+    raises one ``ValidationError`` naming every offender in vertex order."""
+    graph = _Graph(web)
+    bad = [
+        f"vertex {v!r} has valence {len(at)}"
+        for v, at in zip(web.vertices, graph.inc)
+        if len(at) != 3
+    ]
+    if bad:
+        raise ValidationError("; ".join(bad))
+    return graph
 
 
 def one_sets(web: Web) -> list[frozenset[str]]:
@@ -149,62 +192,36 @@ def one_sets(web: Web) -> list[frozenset[str]]:
     order of each component, so a vertex left without partners shows early.
     A loop leads back to its own vertex, so both the order and the search skip it.
     """
-    return _one_sets(_incidences(web.validate()))
+    graph = _trivalent(web)
+    order = [v for part in graph.parts() for v in part]
+    ids = [e.id for e in web.edges]
+    return [frozenset(ids[j] for j in s) for s in _one_sets(graph.inc, order)]
 
 
-def _one_sets(partners: dict[str, list[tuple[str, str]]]) -> list[frozenset[str]]:
-    """The body of ``one_sets`` over a web's incidences, in their vertex order."""
-    seen: dict[str, None] = {}  # an ordered set
-    for root in partners:
-        if root not in seen:
-            seen[root] = None
-            queue = [root]
-            for v in queue:
-                for _, w in partners[v]:
-                    if w not in seen:
-                        seen[w] = None
-                        queue.append(w)
-    order = list(seen)
+def _one_sets(inc: _Incidences, order: list[int]) -> list[tuple[int, ...]]:
+    """The 1-sets over the vertices ``order``, as edge tuples; the search
+    matches the first uncovered vertex of ``order`` at every step."""
+    matchings: list[tuple[int, ...]] = []
+    covered = [False] * len(inc)
+    end = len(order)
 
-    matchings: list[frozenset[str]] = []
-    covered: set[str] = set()
-
-    def extend(i: int, chosen: tuple[str, ...]) -> None:
-        while i < len(order) and order[i] in covered:
+    def extend(i: int, chosen: tuple[int, ...]) -> None:
+        while i < end and covered[order[i]]:
             i += 1
-        if i == len(order):
-            matchings.append(frozenset(chosen))
+        if i == end:
+            matchings.append(chosen)
             return
         v = order[i]
-        covered.add(v)
-        for edge_id, w in partners[v]:
-            if w not in covered:
-                covered.add(w)
-                extend(i + 1, chosen + (edge_id,))
-                covered.remove(w)
-        covered.remove(v)
+        covered[v] = True
+        for j, w in inc[v]:
+            if not covered[w]:
+                covered[w] = True
+                extend(i + 1, chosen + (j,))
+                covered[w] = False
+        covered[v] = False
 
     extend(0, ())
     return matchings
-
-
-def _roots(vertices: Iterable[str], edges: Iterable[Edge]) -> dict[str, str]:
-    """Union-find: each vertex mapped to a representative of its component.
-
-    Groups merge smaller into larger, so a vertex changes group at most
-    log2(n) times.
-    """
-    group = {v: [v] for v in vertices}
-    for e in edges:
-        if len(e.ends) == 2:
-            a, b = group[e.ends[0]], group[e.ends[1]]
-            if a is not b:
-                if len(a) < len(b):
-                    a, b = b, a
-                a += b
-                for v in b:
-                    group[v] = a
-    return {v: g[0] for v, g in group.items()}
 
 
 def components(web: Web) -> list[Web]:
@@ -212,18 +229,22 @@ def components(web: Web) -> list[Web]:
 
     Tait colorings, 1-sets and even 1-sets of a web are those of its
     components chosen independently, so their counts multiply.
+    Components come in the order of their first vertex, and each keeps
+    the web's vertex and edge order.
     """
-    root = _roots(web.vertices, web.edges)
-    parts: dict[str, tuple[list[str], list[Edge]]] = {}
-    for v in web.vertices:
-        parts.setdefault(root[v], ([], []))[0].append(v)
-    for e in web.edges:
-        if e.ends:
-            parts[root[e.ends[0]]][1].append(e)
-    if len(parts) == 1 and not web.circles:
+    graph = _Graph(web)
+    parts = graph.parts()
+    if len(parts) == 1 and not graph.circles:
         return [web]
+    edges = [sorted({j for v in part for j, _ in graph.inc[v]}) for part in parts]
     return [
-        Web(web.name, tuple(vs), tuple(es), web.planar) for vs, es in parts.values()
+        Web(
+            web.name,
+            tuple(web.vertices[v] for v in sorted(part)),
+            tuple(web.edges[j] for j in js),
+            web.planar,
+        )
+        for part, js in zip(parts, edges)
     ]
 
 
@@ -236,43 +257,26 @@ def complement_cycles(web: Web, s: Iterable[str]) -> list[int]:
     vertex in ``web.vertices``; free circles are left out.  The web must be
     trivalent: any other web raises its valence ``ValidationError`` first.
     """
-    web.validate()
+    graph = _trivalent(web)
     s = frozenset(s)
-    hits = dict.fromkeys(web.vertices, 0)
-    known = 0
-    for e in web.edges:
-        if e.id in s:
-            known += 1
-            for v in e.incidences():
-                hits[v] += 1
-    if known != len(s):
-        stray = s - {e.id for e in web.edges}
-        raise ValidationError(f"unknown edge ids: {sorted(stray)}")
-    if any(h != 1 for h in hits.values()):
+    index = {e.id: j for j, e in enumerate(web.edges)}
+    if not s <= index.keys():
+        raise ValidationError(f"unknown edge ids: {sorted(s - index.keys())}")
+    chosen = {index[i] for i in s}
+    if any(sum(j in chosen for j, _ in at) != 1 for at in graph.inc):
         raise ValidationError("edge subset is not a 1-set")
-    return _cycle_lengths(_incidences(web), s)
+    return _cycle_lengths(graph.inc, range(len(graph.inc)), chosen)
 
 
-def _incidences(web: Web) -> dict[str, list[tuple[str, str]]]:
-    """Each vertex's ``(edge id, other end)`` pairs; a loop is listed twice."""
-    inc: dict[str, list[tuple[str, str]]] = {v: [] for v in web.vertices}
-    for e in web.edges:
-        if e.ends:
-            a, b = e.ends[0], e.ends[-1]
-            inc[a].append((e.id, b))
-            inc[b].append((e.id, a))
-    return inc
-
-
-def _cycle_lengths(inc: dict[str, list[tuple[str, str]]], s: frozenset[str]) -> list[int]:
-    """Vertex counts of the complement cycles of the 1-set ``s``, walked one
-    at a time and ordered by their first vertex in ``inc``."""
-    seen: set[str] = set()
+def _cycle_lengths(inc: _Incidences, vertices: Iterable[int], s: set[int]) -> list[int]:
+    """Vertex counts of the complement cycles of the 1-set ``s`` through
+    ``vertices``, walked one at a time and ordered by their first vertex."""
+    seen = [False] * len(inc)
     lengths = []
-    for v in inc:
+    for v in vertices:
         came, n = None, 0
-        while v not in seen:
-            seen.add(v)
+        while not seen[v]:
+            seen[v] = True
             n += 1
             for e, w in inc[v]:
                 if e != came and e not in s:
@@ -299,16 +303,16 @@ def count_tait_backtracking(web: Web) -> int:
     free circles are unconstrained and contribute a factor of 3 each.
     Each component is searched alone and the counts multiply.
     """
-    web.validate()
-    if web.loops:
+    graph = _trivalent(web)
+    if graph.loops:
         return 0
-    total = 3 ** len(web.circles)
-    for part in components(web):
-        total *= _count_colorings(part.edges)
+    total = 3**graph.circles
+    for part in graph.parts():
+        total *= _count_colorings(graph.inc, part)
     return total
 
 
-def _count_colorings(edges: tuple[Edge, ...]) -> int:
+def _count_colorings(inc: _Incidences, part: list[int]) -> int:
     """Proper 3-edge-colorings of one connected loopless component, by backtracking.
 
     The edge order is fixed before the search: the next edge is the one
@@ -320,17 +324,14 @@ def _count_colorings(edges: tuple[Edge, ...]) -> int:
     shows all three), and the first two edges of the order share a vertex,
     so each orbit of six has one coloring that gives them colors 0 and 1.
     """
-    at: dict[str, list[int]] = {}  # vertex -> indices of its edges
-    for j, e in enumerate(edges):
-        for v in e.ends:
-            at.setdefault(v, []).append(j)
-    score = dict.fromkeys(range(len(edges)), 0)  # over the unordered edges
+    ends = {j: (v, w) for v in part for j, w in inc[v] if v < w}
+    score = dict.fromkeys(sorted(ends), 0)  # over the unordered edges
     position: dict[int, int] = {}
     earlier: list[list[int]] = []
     while score:
         j = max(score, key=score.__getitem__)
         del score[j]
-        near = [k for v in edges[j].ends for k in at[v]]
+        near = [k for v in ends[j] for k, _ in inc[v]]
         earlier.append([position[k] for k in near if k in position])
         position[j] = len(earlier) - 1
         for k in near:
@@ -361,11 +362,11 @@ def one_set_census(web: Web) -> tuple[int, int, int]:
     cycle even either way (a factor 2 on the even ones), and outside the
     1-set is one more complementary cycle, so it weighs 1 + 2 = 3 in the sum.
     """
-    circles = len(web.circles)
+    graph = _trivalent(web)
+    inc, circles = graph.inc, graph.circles
     ones, even, weighted = 2**circles, 2**circles, 3**circles
-    for part in components(web):
-        inc = _incidences(part.validate())
-        cycles = [_cycle_lengths(inc, s) for s in _one_sets(inc)]
+    for part in graph.parts():
+        cycles = [_cycle_lengths(inc, part, set(s)) for s in _one_sets(inc, part)]
         even_cycles = [c for c in cycles if is_even(c)]
         ones *= len(cycles)
         even *= len(even_cycles)
@@ -386,15 +387,12 @@ def is_abstract_planar(web: Web) -> bool:
     its blocks (biconnected components) is, and each block is tested by
     path addition (:func:`_planar_block`).
     """
-    adj: dict[str, dict[str, None]] = {v: {} for v in web.vertices}
-    for e in web.edges:
-        if e.kind == "edge":
-            a, b = e.ends
-            adj[a][b] = adj[b][a] = None
+    inc = _Graph(web).inc
+    adj = [dict.fromkeys(w for _, w in at if w != v) for v, at in enumerate(inc)]
     return all(_planar_block(block) for block in _blocks(adj))
 
 
-def _blocks(adj: dict[str, dict[str, None]]) -> Iterator[list[tuple[str, str]]]:
+def _blocks(adj: list[dict[int, None]]) -> Iterator[list[tuple[int, int]]]:
     """Edge lists of the blocks of a simple graph (Hopcroft-Tarjan).
 
     The depth-first search keeps its own stack, so deep graphs cannot
@@ -402,13 +400,13 @@ def _blocks(adj: dict[str, dict[str, None]]) -> Iterator[list[tuple[str, str]]]:
     when nothing below ``v`` reaches above ``p``; the block is then the
     edges stacked since that tree edge.
     """
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    for root in adj:
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    for root in range(len(adj)):
         if root in index:
             continue
         index[root] = low[root] = len(index)
-        edges: list[tuple[str, str]] = []
+        edges: list[tuple[int, int]] = []
         # (vertex, parent, unseen neighbours, stack position of the tree edge)
         stack = [(root, None, iter(adj[root]), 0)]
         while stack:
@@ -432,7 +430,7 @@ def _blocks(adj: dict[str, dict[str, None]]) -> Iterator[list[tuple[str, str]]]:
                     del edges[at:]
 
 
-def _planar_block(edges: list[tuple[str, str]]) -> bool:
+def _planar_block(edges: list[tuple[int, int]]) -> bool:
     """Planarity of a block, by Demoucron-Malgrange-Pertuiset path addition.
 
     The embedded part ``H`` starts as one edge, whose single face is the
@@ -448,7 +446,7 @@ def _planar_block(edges: list[tuple[str, str]]) -> bool:
     (Demoucron, Malgrange & Pertuiset 1964).  Each round adds an edge and
     costs O(n + m).
     """
-    adj: dict[str, list[str]] = {}
+    adj: dict[int, list[int]] = {}
     for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
@@ -461,7 +459,7 @@ def _planar_block(edges: list[tuple[str, str]]) -> bool:
     placed = set(edges[0])
     used = {frozenset(edges[0])}
     while len(used) < m:
-        on: dict[str, set[int]] = {}
+        on: dict[int, set[int]] = {}
         for i, face in enumerate(faces):
             for x in face:
                 on.setdefault(x, set()).add(i)
@@ -489,7 +487,7 @@ def _planar_block(edges: list[tuple[str, str]]) -> bool:
     return True
 
 
-def _fragments(adj: dict[str, list[str]], placed: set[str], used: set[frozenset]):
+def _fragments(adj: dict[int, list[int]], placed: set[int], used: set[frozenset]):
     """``(attachments, path)`` for each fragment of the embedded part.
 
     The path runs through the fragment between two distinct attachments;
@@ -499,13 +497,13 @@ def _fragments(adj: dict[str, list[str]], placed: set[str], used: set[frozenset]
         for b in adj[a]:
             if b in placed and a < b and frozenset((a, b)) not in used:
                 yield (a, b), [a, b]
-    seen: set[str] = set()
+    seen: set[int] = set()
     for s in adj:
         if s in placed or s in seen:
             continue
         seen.add(s)
         comp = [s]
-        attach: dict[str, None] = {}
+        attach: dict[int, None] = {}
         for x in comp:
             for y in adj[x]:
                 if y in placed:
@@ -517,11 +515,11 @@ def _fragments(adj: dict[str, list[str]], placed: set[str], used: set[frozenset]
 
 
 def _path_through(
-    adj: dict[str, list[str]], placed: set[str], inside: set[str], a: str
-) -> list[str]:
+    adj: dict[int, list[int]], placed: set[int], inside: set[int], a: int
+) -> list[int]:
     """A path from ``a`` through ``inside`` to another placed vertex."""
     first = next(x for x in adj[a] if x in inside)
-    prev: dict[str, str | None] = {first: None}
+    prev: dict[int, int | None] = {first: None}
     queue = [first]
     for x in queue:
         b = next((y for y in adj[x] if y in placed and y != a), None)

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import networkx as nx
@@ -82,13 +83,54 @@ class TestValidation:
         with pytest.raises(ValidationError, match="unknown vertex"):
             Web("bad", ("a",), (Edge("e", ("a", "z")),))
 
+    def test_edge_with_more_than_two_ends_rejected(self):
+        edges = (Edge("x", ("a", "b", "c")), Edge("y", ("c", "d")))
+        with pytest.raises(ValidationError, match="edge 'x' has more than two ends"):
+            Web("bad", ("a", "b", "c", "d"), edges)
+
+    def test_every_checker_reports_the_same_offenders(self):
+        # offenders in two components: a path u-v and a loop at w, with a
+        # theta between them in vertex order
+        bad = Web(
+            "bad",
+            ("u", "a", "v", "b", "w"),
+            (
+                Edge("e", ("u", "v")),
+                *(Edge(f"t{i}", ("a", "b")) for i in range(3)),
+                Edge("l", ("w",)),
+            ),
+        )
+        message = (
+            "vertex 'u' has valence 1; vertex 'v' has valence 1; "
+            "vertex 'w' has valence 2"
+        )
+        checkers = [
+            bad.validate,
+            lambda: one_sets(bad),
+            lambda: complement_cycles(bad, ()),
+            lambda: one_set_census(bad),
+            lambda: count_tait_backtracking(bad),
+            lambda: count_tait_matching_formula(bad),
+        ]
+        for check in checkers:
+            with pytest.raises(ValidationError) as caught:
+                check()
+            assert str(caught.value) == message
+        # planarity reads only the structure
+        assert is_abstract_planar(bad)
+
+
+def incidences(e: Edge) -> list[str]:
+    """Endpoint vertices with multiplicity: a loop lists its vertex twice."""
+    return [e.ends[0], e.ends[-1]] if e.ends else []
+
 
 def incidence_counts(web: Web, edge_ids) -> dict[str, int]:
     """Incidences of the given edges at each vertex, a loop counting twice."""
     count = {v: 0 for v in web.vertices}
     for e in web.edges:
         if e.id in edge_ids:
-            for v in e.incidences():
+            for v in incidences(e):
                 count[v] += 1
     return count
 
@@ -147,7 +189,7 @@ def complement_graph(web: Web, s: frozenset) -> nx.MultiGraph:
     """The complement of ``s`` in the vertex part, as a networkx multigraph."""
     g = nx.MultiGraph()
     g.add_nodes_from(web.vertices)
-    g.add_edges_from(e.incidences() for e in web.edges if e.ends and e.id not in s)
+    g.add_edges_from(incidences(e) for e in web.edges if e.ends and e.id not in s)
     return g
 
 
@@ -276,7 +318,7 @@ def brute_force_colorings(web: Web) -> int:
     """Oracle: filter all 3^m edge colorings by distinct colors at every vertex."""
     at = {v: [] for v in web.vertices}
     for i, e in enumerate(web.edges):
-        for v in e.incidences():
+        for v in incidences(e):
             at[v].append(i)
     return sum(
         all(len({c[i] for i in ids}) == 3 for ids in at.values())
@@ -351,10 +393,90 @@ class TestTaitCounts:
         assert webs.components(THETA) == [THETA]
         assert webs.components(UNKNOT) == webs.components(EMPTY) == []
 
+    def test_interleaved_components(self):
+        # vertices of a theta (b), K4 (a) and handcuffs (h) interleaved, edges
+        # out of vertex order, circles between them
+        web = interleaved_web()
+        parts = webs.components(web)
+        assert [p.vertices for p in parts] == [
+            ("b1", "b2"), ("a1", "a2", "a3", "a4"), ("h1", "h2")
+        ]
+        assert [[e.id for e in p.edges] for p in parts] == [
+            ["t1", "t2", "t3"], ["k6", "k1", "k5", "k4", "k2", "k3"], ["l2", "h", "l1"]
+        ]
+        k4 = [{"k1", "k6"}, {"k5", "k4"}, {"k2", "k3"}]
+        assert one_sets(web) == [
+            frozenset({t, *k, "h"}) for t in ("t1", "t2", "t3") for k in k4
+        ]
+        # cycles by first vertex: b1, a1, then the two loops at h1 and h2
+        assert complement_cycles(web, one_sets(web)[4]) == [2, 4, 1, 1]
+        assert one_set_census(web) == brute_force_census(web) == (36, 0, 0)
+        assert count_tait_backtracking(web) == count_tait_matching_formula(web) == 0
+        loop_free = Web(
+            web.name,
+            tuple(v for v in web.vertices if v[0] != "h"),
+            tuple(e for e in web.edges if not e.ends or e.ends[0][0] != "h"),
+        )
+        assert one_set_census(loop_free) == brute_force_census(loop_free)
+        assert one_set_census(loop_free) == (36, 36, 324)
+        assert brute_force_colorings(loop_free) == 324
+        assert count_tait_backtracking(loop_free) == 324
+        assert count_tait_matching_formula(loop_free) == 324
+
     def test_union_with_empty_is_neutral(self):
         union = disjoint_union(THETA, EMPTY)
         assert count_tait_backtracking(union) == 6
         assert count_tait_matching_formula(union) == 6
+
+
+def interleaved_web() -> Web:
+    """A theta, a K4 and handcuffs with interleaved vertices, and two circles."""
+    ends = {
+        "k6": ("a4", "a3"),
+        "t1": ("b2", "b1"),
+        "c1": (),
+        "k1": ("a2", "a1"),
+        "l2": ("h2",),
+        "k5": ("a3", "a1"),
+        "t2": ("b1", "b2"),
+        "h": ("h2", "h1"),
+        "k4": ("a4", "a2"),
+        "c2": (),
+        "k2": ("a1", "a4"),
+        "t3": ("b2", "b1"),
+        "l1": ("h1",),
+        "k3": ("a3", "a2"),
+    }
+    vertices = ("b1", "a1", "h1", "a2", "b2", "a3", "h2", "a4")
+    return Web("interleaved", vertices, tuple(Edge(i, e) for i, e in ends.items()))
+
+
+def test_nothing_is_cached():
+    # the benchmark empties only functools caches between passes
+    web = interleaved_web()
+    before = (dict(vars(web)), [dict(vars(e)) for e in web.edges])
+    web.validate()
+    one_sets(web)
+    complement_cycles(web, one_sets(web)[0])
+    one_set_census(web)
+    webs.components(web)
+    count_tait_backtracking(web)
+    count_tait_matching_formula(web)
+    is_abstract_planar(web)
+    with pytest.warns(NonPlanarPredictionWarning):
+        predict_planar_rank(web)
+    web_from_dict(web_to_dict(web))
+    disjoint_union(web, web)
+    assert (dict(vars(web)), [dict(vars(e)) for e in web.edges]) == before
+    cached = []
+    for name, obj in vars(webs).items():
+        members = [obj]
+        if isinstance(obj, type) and obj.__module__ == webs.__name__:
+            members = list(vars(obj).values())
+        for member in members:
+            if hasattr(member, "cache_info") or isinstance(member, cached_property):
+                cached.append(name)
+    assert cached == ["generate_connected_cubic"]
 
 
 class TestPlanarPrediction:
