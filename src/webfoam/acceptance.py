@@ -18,7 +18,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import homology, linalg, operators, webs
 from .errors import InternalConsistencyError
@@ -110,32 +110,43 @@ def check_tait_formula(ctx: CheckContext) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
-def _theta_closed_form(m1: int, m2: int, m3: int) -> LaurentPoly:
+def _theta_closed_form(dots: Sequence[int], powers: list[LaurentPoly]) -> LaurentPoly:
     """Independent closed form: with sorted dots a >= b >= c, the value is
     P^((a+b-3)/2) when c = 0, b >= 1 and a + b is odd and at least 3,
-    and zero otherwise."""
-    a, b, c = sorted((m1, m2, m3), reverse=True)
+    and zero otherwise.  ``powers[k]`` is P^k."""
+    a, b, c = sorted(dots, reverse=True)
     if c != 0 or b < 1 or (a + b) % 2 == 0 or a + b < 3:
         return ZERO
-    return P ** ((a + b - 3) // 2)
+    return powers[(a + b - 3) // 2]
 
 
-def _theta_reduce_first(m1: int, m2: int, m3: int) -> LaurentPoly:
-    """Alternative reducer: rewrites the first entry >= 3 it finds."""
-    dots = [m1, m2, m3]
+def _theta_reduce_first(
+    dots: Sequence[int], powers: list[LaurentPoly], reductions: int = 0
+) -> LaurentPoly:
+    """Alternative reducer: rewrites the first entry >= 3 it finds, each
+    rewrite costing one factor of P (``powers[k]`` is P^k)."""
     if min(dots) > 0 or sum(dots) % 2 == 0 or sum(dots) < 3:
         return ZERO
     if sorted(dots) == [0, 1, 2]:
-        return ONE
+        return powers[reductions]
     for i, m in enumerate(dots):
         if m >= 3:
             reduced = list(dots)
             reduced[i] = m - 2
-            return P * _theta_reduce_first(*reduced)
+            return _theta_reduce_first(reduced, powers, reductions + 1)
     return ZERO
 
 
 def check_foam_table(ctx: CheckContext) -> Outcome:
+    """Spheres with 0..8 dots and every theta triple with entries <= 8.
+
+    ``eval_theta`` runs once per ordered triple, into a table that holds
+    every permutation of every triple, so the invariance test compares
+    table entries.  Each value is checked against the closed form, the
+    first-entry reduction (both read one list of powers of P built by
+    repeated multiplication, not ``foams``), its six permutations and
+    the even-sum rule.
+    """
     max_dots = 8
     problems: list[str] = []
     expected_spheres = [ZERO, ZERO, ONE, ZERO, P, ZERO, P**2, ZERO, P**3]
@@ -146,18 +157,25 @@ def check_foam_table(ctx: CheckContext) -> Outcome:
         "sphere values 0..8 differ from (0,0,1,0,P,0,P^2,0,P^3)",
     )
     _fail(problems, eval_theta(0, 1, 2) == ONE, "theta(0,1,2) != 1")
+    # the largest exponent either oracle reaches is (2 * max_dots - 3) // 2
+    powers = [ONE]
+    while len(powers) < max_dots:
+        powers.append(powers[-1] * P)
+    table = {
+        dots: eval_theta(*dots)
+        for dots in itertools.product(range(max_dots + 1), repeat=3)
+    }
     checked = 0
-    for dots in itertools.product(range(max_dots + 1), repeat=3):
-        value = eval_theta(*dots)
+    for dots, value in table.items():
         checked += 1
-        if value != _theta_closed_form(*dots):
+        if value != _theta_closed_form(dots, powers):
             problems.append(f"theta{dots}: closed-form oracle disagrees")
             break
-        if value != _theta_reduce_first(*dots):
+        if value != _theta_reduce_first(dots, powers):
             problems.append(f"theta{dots}: reduction order changes the value")
             break
         for perm in itertools.permutations(dots):
-            if eval_theta(*perm) != value:
+            if table[perm] != value:
                 problems.append(f"theta{dots}: not invariant under {perm}")
                 break
         if sum(dots) % 2 == 0 and value != ZERO:
@@ -180,7 +198,7 @@ def check_unknot_model(ctx: CheckContext) -> Outcome:
     u = module.operator("e")
     pinned = [[ZERO, ZERO, ZERO], [ONE, ZERO, P], [ZERO, ONE, ZERO]]
     _fail(problems, u == pinned, "operator matrix differs from the pinned model")
-    for name, ok in operators.check_vertex_relations(module):
+    for name, ok in module.relations:
         _fail(problems, ok, f"relation failed: {name}")
     rank_u = linalg.fraction_rank(u)
     _fail(problems, rank_u == 2, f"image rank {rank_u} != 2")
@@ -211,9 +229,15 @@ def check_unknot_model(ctx: CheckContext) -> Outcome:
 
 
 def check_theta_model(ctx: CheckContext) -> Outcome:
+    """The rank-6 theta model: relations, summand ranks and projections.
+
+    The relation outcomes are those of the one
+    :func:`~webfoam.operators.check_vertex_relations` run that the
+    module's constructor makes; they are read, not computed again.
+    """
     problems: list[str] = []
     module = operators.theta_module()
-    for name, ok in operators.check_vertex_relations(module):
+    for name, ok in module.relations:
         _fail(problems, ok, f"relation failed: {name}")
     decomposition = operators.edge_decomposition(module)
     for edge in module.edge_ids:

@@ -285,7 +285,7 @@ def _cmd_ops(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
                 lines.append("  [" + ", ".join(row) + "]")
 
     if args.check:
-        checks = operators.check_vertex_relations(module)
+        checks = module.relations
         report["checks"] = dict(checks)
         lines.extend(_status_line(ok, name) for name, ok in checks)
         failed |= not all(ok for _, ok in checks)

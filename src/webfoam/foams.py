@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 
-from .laurent import LaurentPoly, ONE, P, ZERO
+from .laurent import LaurentPoly, P, ZERO
 
 __all__ = [
     "eval_sphere",
@@ -54,12 +54,17 @@ def eval_sphere(m: int) -> LaurentPoly:
 
 @functools.lru_cache(maxsize=None)
 def _eval_theta_sorted(triple: tuple[int, int, int]) -> LaurentPoly:
+    # a loop, not a recursion: one reduction per factor of P, so deep dot
+    # counts stay within the interpreter's recursion limit
     a, b, c = triple  # descending
-    if c > 0 or (a + b + c) % 2 == 0 or a + b + c < 3:
-        return ZERO
-    if triple == (2, 1, 0):
-        return ONE
-    return P * _eval_theta_sorted(tuple(sorted((a - 2, b, c), reverse=True)))
+    factors = 0
+    while True:
+        if c > 0 or (a + b + c) % 2 == 0 or a + b + c < 3:
+            return ZERO
+        if (a, b, c) == (2, 1, 0):
+            return P**factors
+        a, b, c = sorted((a - 2, b, c), reverse=True)
+        factors += 1
 
 
 def eval_theta(m1: int, m2: int, m3: int) -> LaurentPoly:

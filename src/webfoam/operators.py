@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import InternalConsistencyError
@@ -49,12 +49,17 @@ class OperatorModule:
 
     ``vertices`` lists the trivalent vertices of the web, each as the ids
     of its three incident edges; the vertex relations hold at each.
+    ``relations`` holds the ``(label, holds)`` outcomes of the one
+    :func:`check_vertex_relations` run the constructor makes.
     """
 
     rank: int
     basis_labels: tuple
     operators: dict[str, Matrix]
     vertices: tuple[tuple[str, str, str], ...] = ()
+    relations: tuple[tuple[str, bool], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.basis_labels) != self.rank:
@@ -72,9 +77,10 @@ class OperatorModule:
             missing = [e for e in triple if e not in self.operators]
             if missing:
                 raise ValueError(f"module has no operator named {missing[0]!r}")
+        object.__setattr__(self, "relations", check_vertex_relations(self))
         # three vertex relations per vertex, then one cubic relation per operator
         owners = [None] * (3 * len(self.vertices)) + list(self.edge_ids)
-        for (label, ok), name in zip(check_vertex_relations(self), owners):
+        for (label, ok), name in zip(self.relations, owners):
             if not ok:
                 raise InternalConsistencyError(
                     f"operators violate {label}"
@@ -119,24 +125,24 @@ def theta_module() -> OperatorModule:
     For each disk i, the matrix ``moved_i`` pairs the dual family
     against the basis with one extra dot on disk i.  Solving
     ``gram @ u_i = moved_i`` against the unimodular Gram matrix gives
-    the operator matrices over the ring itself; any failure of
+    the operator matrices over the ring itself; the three ``moved_i``
+    stand side by side as the right side of one solve.  Any failure of
     unimodularity or of the operator relations is an internal error.
     """
-    gram = pairing_matrix()
-    operators: dict[str, Matrix] = {}
-    for i in range(3):
-        moved = [
-            [
-                eval_theta(
-                    a[0] + v[0] + (1 if i == 0 else 0),
-                    a[1] + v[1] + (1 if i == 1 else 0),
-                    a[2] + v[2] + (1 if i == 2 else 0),
-                )
-                for v in THETA_BASIS_DOTS
-            ]
-            for a in THETA_BASIS_DOTS
+    n = len(THETA_BASIS_DOTS)
+    extra_dot = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    moved = [
+        [
+            eval_theta(*(x + y + z for x, y, z in zip(a, v, d)))
+            for d in extra_dot
+            for v in THETA_BASIS_DOTS
         ]
-        operators[f"e{i + 1}"] = linalg.solve_unimodular(gram, moved)
+        for a in THETA_BASIS_DOTS
+    ]
+    solution = linalg.solve_unimodular(pairing_matrix(), moved)
+    operators = {
+        f"e{i + 1}": [row[i * n : (i + 1) * n] for row in solution] for i in range(3)
+    }
     return OperatorModule(
         rank=6,
         basis_labels=THETA_BASIS_DOTS,

@@ -5,13 +5,16 @@ prints a single PASS/FAIL line, and asserts both the check itself and
 its wall-clock budget.  All comparisons inside the checks are exact.
 """
 
+import itertools
 import time
+from collections import Counter
 
 import pytest
 
-from webfoam import acceptance
+from webfoam import acceptance, foams, linalg, operators
 from webfoam.cli import EXIT_INTERNAL, main
 from webfoam.errors import InternalConsistencyError
+from webfoam.laurent import ONE
 
 CRITERIA = [
     # (number, key, budget in seconds)
@@ -99,3 +102,59 @@ def test_internal_error_becomes_a_fail_row(monkeypatch, capsys):
     assert lines[2].startswith("PASS  unknot-model")
     assert lines[3] == "FAILURES"
     assert "rank routes disagree" in err
+
+
+def theta_wrong_on(monkeypatch, bad):
+    """Make the check's ``eval_theta`` off by one on the triples in ``bad``."""
+
+    def patched(*dots):
+        value = foams.eval_theta(*dots)
+        return value + ONE if dots in bad else value
+
+    monkeypatch.setattr(acceptance, "eval_theta", patched)
+
+
+def test_foam_table_evaluates_each_triple_once(monkeypatch):
+    calls = []
+
+    def counted(*dots):
+        calls.append(dots)
+        return foams.eval_theta(*dots)
+
+    monkeypatch.setattr(acceptance, "eval_theta", counted)
+    failures, _ = acceptance.check_foam_table(acceptance.CheckContext())
+    assert failures == []
+    # theta(0,1,2), then each of the 9^3 ordered triples once
+    assert len(calls) == 730
+    assert len(set(calls)) == 729
+
+
+def test_foam_table_catches_one_wrong_permutation(monkeypatch):
+    theta_wrong_on(monkeypatch, {(4, 3, 0)})
+    failures, _ = acceptance.check_foam_table(acceptance.CheckContext())
+    assert failures[0] == "theta(0, 3, 4): not invariant under (4, 3, 0)"
+
+
+def test_foam_table_catches_one_wrong_value(monkeypatch):
+    # wrong on every ordering alike, so only the oracles can see it
+    theta_wrong_on(monkeypatch, set(itertools.permutations((0, 3, 4))))
+    failures, _ = acceptance.check_foam_table(acceptance.CheckContext())
+    assert failures == ["theta(0, 3, 4): closed-form oracle disagrees"]
+
+
+def test_theta_model_runs_each_relation_and_solve_once(monkeypatch):
+    calls = Counter()
+    targets = ((operators, "check_vertex_relations"), (linalg, "solve_unimodular"))
+    for owner, name in targets:
+        real = getattr(owner, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    operators.theta_module.cache_clear()
+    foams._eval_theta_sorted.cache_clear()
+    (result,) = acceptance.run_all(["theta-model"])
+    assert result.passed
+    assert calls == {"check_vertex_relations": 1, "solve_unimodular": 1}

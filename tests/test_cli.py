@@ -154,12 +154,23 @@ class TestOps:
             ),
         ],
     )
-    def test_full_report_is_pinned(self, capsys, argv, golden):
+    def test_full_report_is_pinned(self, capsys, monkeypatch, argv, golden):
         # the operator solves, null spaces and projection identities all
         # reach this output, which no other test pins byte for byte
+        from webfoam import operators
+
+        runs = []
+        real = operators.check_vertex_relations
+        monkeypatch.setattr(
+            operators, "check_vertex_relations", lambda m: runs.append(m) or real(m)
+        )
+        operators.unknot_module.cache_clear()
+        operators.theta_module.cache_clear()
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == (DATA / golden).read_text()
+        # --check prints the outcomes of the run the model's constructor made
+        assert len(runs) == 1
 
 
 class TestComplex:

@@ -97,6 +97,12 @@ class TestTheta:
                 seen.add(k)
         assert seen == set(range(7))
 
+    def test_deep_dot_count_reduces_in_a_loop(self):
+        # one reduction per factor of P, far past the recursion limit
+        assert eval_theta(0, 1, 5000) == P**2499
+        assert eval_theta(5000, 0, 1) == P**2499
+        assert eval_theta(1, 1, 5000) == ZERO
+
     def test_negative_dots_rejected(self):
         with pytest.raises(ValueError):
             eval_theta(0, -1, 2)
