@@ -7,6 +7,8 @@ and stays within its wall-clock budget, and its detail is the summary,
 or else the failures joined by ``"; "``.  A check that raises
 :class:`~webfoam.errors.InternalConsistencyError` becomes a failing
 result carrying the exception text, and the remaining checks still run.
+An ``InputError`` or ``ValidationError`` (a bad web in the corpus
+directory) fails its check the same way, as an ordinary failure.
 
 The same checks back the acceptance test module, so the CLI table and
 the test suite can never drift apart.
@@ -21,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import homology, linalg, operators, webs
-from .errors import InternalConsistencyError
+from .errors import InputError, InternalConsistencyError, ValidationError
 from .foams import eval_sphere, eval_theta
 from .laurent import LaurentPoly, ONE, P, ZERO
 
@@ -195,7 +197,7 @@ def check_foam_table(ctx: CheckContext) -> Outcome:
 def check_unknot_model(ctx: CheckContext) -> Outcome:
     problems: list[str] = []
     module = operators.unknot_module()
-    u = module.operator("e")
+    u = module.operators["e"]
     pinned = [[ZERO, ZERO, ZERO], [ONE, ZERO, P], [ZERO, ONE, ZERO]]
     _fail(problems, u == pinned, "operator matrix differs from the pinned model")
     for name, ok in module.relations:
@@ -294,8 +296,7 @@ def check_handcuffs_pair(ctx: CheckContext) -> Outcome:
     _fail(problems, predicted == 0, f"predicted rank {predicted} != 0")
 
     model = homology.linked_handcuffs_model()
-    assert model.two_term is not None
-    _, _, a = model.two_term
+    a = model.two_term
     pinned = [[P, ZERO, ZERO], [ZERO, ZERO, ZERO], [ONE, ZERO, ZERO]]
     _fail(problems, a == pinned, "u^2 + P*I differs from the pinned matrix")
     rank_a = linalg.fraction_rank(a)
@@ -390,7 +391,7 @@ def run_all(
     seed: int = 0,
 ) -> list[CheckResult]:
     ctx = CheckContext(corpus, seed)
-    selected = sorted(CHECKS) if keys is None else sorted(keys)
+    selected = sorted(CHECKS) if keys is None else sorted(set(keys))
     unknown = [k for k in selected if k not in CHECKS]
     available = ", ".join(sorted(CHECKS))
     if unknown:
@@ -409,6 +410,8 @@ def run_all(
         except InternalConsistencyError as exc:
             passed, detail = False, f"internal consistency failure: {exc}"
             internal_error = True
+        except (InputError, ValidationError) as exc:
+            passed, detail = False, f"invalid input: {exc}"
         elapsed = time.perf_counter() - start
         if passed and elapsed > budget:
             passed = False

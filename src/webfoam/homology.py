@@ -94,26 +94,23 @@ class DifferentialModule:
     The exact (Bareiss) rank is computed once, on the first
     :meth:`frac_rank` request, and the randomized GF(2^16) cross-check
     runs once for each distinct seed passed to :meth:`frac_rank`.
-    ``two_term``, when set, is ``(rows, cols, a)`` for a map ``a`` whose
-    mapping cone is the differential (:meth:`from_map`).
+    ``two_term``, when set, is the map ``a: R^(rank - len(a)) -> R^len(a)``
+    whose mapping cone is the differential (:meth:`from_map`).
     """
 
-    __slots__ = ("rank", "differential", "two_term", "_exact_rank", "_checked_seeds")
+    __slots__ = ("differential", "two_term", "_exact_rank", "_checked_seeds")
 
     def __init__(
         self,
-        rank: int,
         differential: Sequence[Sequence[LaurentPoly]],
-        two_term: tuple[int, int, Matrix] | None = None,
+        two_term: Matrix | None = None,
     ):
-        if rank < 0:
-            raise ValidationError("rank must be nonnegative")
         d = [list(row) for row in differential]
-        if len(d) != rank or any(len(row) != rank for row in d):
-            raise ValidationError(f"differential must be {rank}x{rank}")
+        n = len(d)
+        if any(len(row) != n for row in d):
+            raise ValidationError(f"differential must be {n}x{n}")
         if not linalg.is_zero_matrix(linalg.mat_mul(d, d)):
             raise ValidationError("differential does not square to zero")
-        self.rank = rank
         self.differential = d
         self.two_term = two_term
         self._exact_rank: int | None = None
@@ -122,8 +119,11 @@ class DifferentialModule:
     @classmethod
     def from_map(cls, a: Sequence[Sequence[LaurentPoly]]) -> "DifferentialModule":
         """Mapping cone of ``a: R^cols -> R^rows`` as a square-zero block."""
-        d = _cone(a)
-        return cls(len(d), d, two_term=(len(a), len(d) - len(a), [list(r) for r in a]))
+        return cls(_cone(a), two_term=[list(r) for r in a])
+
+    @property
+    def rank(self) -> int:
+        return len(self.differential)
 
     # -- rank computations -------------------------------------------
 
@@ -155,9 +155,9 @@ class DifferentialModule:
         """
         if self.two_term is None:
             raise ValueError("module was not built from a two-term map")
-        rows, cols, _ = self.two_term
+        rows = len(self.two_term)
         rank_a = (self.rank - self.frac_rank(seed)) // 2
-        return cols - rank_a, rows - rank_a
+        return self.rank - rows - rank_a, rows - rank_a
 
     def f2_dim(self) -> int:
         """Homology dimension over F2 after evaluating at T = (1, 1, 1)."""
@@ -241,9 +241,9 @@ def linked_handcuffs_model() -> DifferentialModule:
     torsion in either shipped direction.
     """
     # the one model built on the operators
-    from .operators import _image_equations, unknot_module
+    from .operators import unknot_module
 
-    return DifferentialModule.from_map(_image_equations(unknot_module())["e"])
+    return DifferentialModule.from_map(unknot_module().images["e"])
 
 
 def random_complex(seed: int, size: int) -> DifferentialModule:
@@ -280,7 +280,7 @@ def random_complex(seed: int, size: int) -> DifferentialModule:
         d[i] = [x + c * y for x, y in zip(d[i], d[j])]
         for row in d:
             row[j] = row[j] + c * row[i]
-    return DifferentialModule(size, d)
+    return DifferentialModule(d)
 
 
 def order_four_certificate() -> tuple[tuple[str, str, bool], ...]:
@@ -346,7 +346,7 @@ def complex_from_dict(data: object, source: str = "<complex>") -> DifferentialMo
                 raise fail(f"differential[{i}][{j}]", str(exc)) from exc
         parsed.append(out)
     try:
-        return DifferentialModule(rank, parsed)
+        return DifferentialModule(parsed)
     except ValidationError as exc:
         # structurally fine but semantically invalid: keep the distinction
         raise ValidationError(f"{source}: {exc}") from exc

@@ -49,24 +49,26 @@ class OperatorModule:
 
     ``vertices`` lists the trivalent vertices of the web, each as the ids
     of its three incident edges; the vertex relations hold at each.
-    ``relations`` holds the ``(label, holds)`` outcomes of the one
-    :func:`check_vertex_relations` run the constructor makes.
+    ``images`` maps each edge e to u_e^2 + P, whose kernel is the image
+    of u_e, built once here.  ``relations`` holds the ``(label, holds)``
+    outcomes of the one :func:`check_vertex_relations` run the
+    constructor makes.  The matrices are lists and must not be mutated:
+    ``images`` and ``relations`` are derived from them once.
     """
 
-    rank: int
     basis_labels: tuple
     operators: dict[str, Matrix]
     vertices: tuple[tuple[str, str, str], ...] = ()
+    images: dict[str, Matrix] = field(init=False, repr=False, compare=False)
     relations: tuple[tuple[str, bool], ...] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        if len(self.basis_labels) != self.rank:
-            raise ValueError("basis label count must equal the rank")
+        n = self.rank
         for name, mat in self.operators.items():
-            if len(mat) != self.rank or any(len(row) != self.rank for row in mat):
-                raise ValueError(f"operator {name!r} is not {self.rank}x{self.rank}")
+            if len(mat) != n or any(len(row) != n for row in mat):
+                raise ValueError(f"operator {name!r} is not {n}x{n}")
         for triple in self.vertices:
             # an edge meets a trivalent vertex at most twice (a loop)
             if len(set(triple)) == 1:
@@ -77,16 +79,16 @@ class OperatorModule:
             missing = [e for e in triple if e not in self.operators]
             if missing:
                 raise ValueError(f"module has no operator named {missing[0]!r}")
+        p_ident = linalg.mat_scale(P, linalg.identity(n))
+        images = {
+            name: linalg.mat_add(linalg.mat_mul(u, u), p_ident)
+            for name, u in self.operators.items()
+        }
+        object.__setattr__(self, "images", images)
         object.__setattr__(self, "relations", check_vertex_relations(self))
-        # three vertex relations per vertex, then one cubic relation per operator
-        owners = [None] * (3 * len(self.vertices)) + list(self.edge_ids)
-        for (label, ok), name in zip(self.relations, owners):
+        for label, ok in self.relations:
             if not ok:
-                raise InternalConsistencyError(
-                    f"operators violate {label}"
-                    if name is None
-                    else f"operator {name!r} violates u^3 + P*u = 0"
-                )
+                raise InternalConsistencyError(f"operators violate {label}")
         named = sorted(self.operators.items())
         for (na, a), (nb, b) in itertools.combinations(named, 2):
             if linalg.mat_mul(a, b) != linalg.mat_mul(b, a):
@@ -94,8 +96,9 @@ class OperatorModule:
                     f"operators {na!r} and {nb!r} do not commute"
                 )
 
-    def operator(self, edge_id: str) -> Matrix:
-        return self.operators[edge_id]
+    @property
+    def rank(self) -> int:
+        return len(self.basis_labels)
 
     @property
     def edge_ids(self) -> tuple[str, ...]:
@@ -115,7 +118,7 @@ def unknot_module() -> OperatorModule:
         [ONE, ZERO, P],
         [ZERO, ONE, ZERO],
     ]
-    return OperatorModule(rank=3, basis_labels=(0, 1, 2), operators={"e": u})
+    return OperatorModule(basis_labels=(0, 1, 2), operators={"e": u})
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,7 +147,6 @@ def theta_module() -> OperatorModule:
         f"e{i + 1}": [row[i * n : (i + 1) * n] for row in solution] for i in range(3)
     }
     return OperatorModule(
-        rank=6,
         basis_labels=THETA_BASIS_DOTS,
         operators=operators,
         vertices=(("e1", "e2", "e3"),),
@@ -161,7 +163,7 @@ def check_vertex_relations(module: OperatorModule) -> tuple[tuple[str, bool], ..
     checks = []
     p_ident = linalg.mat_scale(P, linalg.identity(module.rank))
     for vertex in module.vertices:
-        u1, u2, u3 = (module.operator(e) for e in vertex)
+        u1, u2, u3 = (module.operators[e] for e in vertex)
         total = linalg.mat_add(linalg.mat_add(u1, u2), u3)
         checks.append(("u1 + u2 + u3 = 0", linalg.is_zero_matrix(total)))
         w2 = linalg.mat_add(
@@ -171,20 +173,10 @@ def check_vertex_relations(module: OperatorModule) -> tuple[tuple[str, bool], ..
         checks.append(("u2*u3 + u3*u1 + u1*u2 = P", w2 == p_ident))
         triple = linalg.mat_mul(linalg.mat_mul(u1, u2), u3)
         checks.append(("u1*u2*u3 = 0", linalg.is_zero_matrix(triple)))
-    images = _image_equations(module)
     for name in module.edge_ids:
-        product = linalg.mat_mul(module.operator(name), images[name])
+        product = linalg.mat_mul(module.operators[name], module.images[name])
         checks.append((f"{name}^3 + P*{name} = 0", linalg.is_zero_matrix(product)))
     return tuple(checks)
-
-
-def _image_equations(module: OperatorModule) -> dict[str, Matrix]:
-    """u_e^2 + P*I for every edge e: its kernel is the image of u_e."""
-    p_ident = linalg.mat_scale(P, linalg.identity(module.rank))
-    return {
-        name: linalg.mat_add(linalg.mat_mul(u, u), p_ident)
-        for name, u in module.operators.items()
-    }
 
 
 @dataclass(frozen=True)
@@ -200,19 +192,15 @@ class EdgeDecomposition:
 
     def basis(self, subset: Iterable[str]) -> list[list[LaurentPoly]]:
         """Column vectors spanning the summand over the fraction field."""
-        return linalg.nullspace_frac(
-            _constraints(self.module, frozenset(subset), _image_equations(self.module))
-        )
+        return linalg.nullspace_frac(_constraints(self.module, frozenset(subset)))
 
 
-def _constraints(
-    module: OperatorModule, subset: frozenset, images: dict[str, Matrix]
-) -> Matrix:
+def _constraints(module: OperatorModule, subset: frozenset) -> Matrix:
     """Rows of u_e for e in ``subset`` and of u_e^2 + P for e outside it."""
     rows = [
         row
         for e in module.edge_ids
-        for row in (module.operator(e) if e in subset else images[e])
+        for row in (module.operators[e] if e in subset else module.images[e])
     ]
     return rows or [[ZERO] * module.rank]
 
@@ -232,14 +220,13 @@ def edge_decomposition(
     verified to be idempotent, orthogonal, and to sum to the identity.
     """
     edge_ids = module.edge_ids
-    images = _image_equations(module)
     subset_ranks: dict[frozenset, int] = {}
     total = 0
     for bits in range(1 << len(edge_ids)):
         subset = frozenset(
             e for k, e in enumerate(edge_ids) if bits & (1 << k)
         )
-        r = module.rank - linalg.rank_frac_exact(_constraints(module, subset, images))
+        r = module.rank - linalg.rank_frac_exact(_constraints(module, subset))
         subset_ranks[subset] = r
         total += r
     if total != module.rank:
@@ -262,7 +249,7 @@ def _check_projections(
     idempotent iff Q_i^2 = P*Q_i, the pi_i are orthogonal iff the Q_i
     products vanish, and they sum to 1 iff the Q_i sum to P*I.
     """
-    ops = [module.operator(e) for e in vertex_edges]
+    ops = [module.operators[e] for e in vertex_edges]
     qs = [linalg.mat_mul(ops[(i + 1) % 3], ops[(i + 2) % 3]) for i in range(3)]
     checks = []
     for i, q in enumerate(qs):

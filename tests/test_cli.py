@@ -475,6 +475,38 @@ class TestVerifyAll:
         assert code == 0
         assert "corpus of 2 webs" in out
 
+    def test_repeated_key_runs_once(self, capsys):
+        code, out, _ = run(capsys, "verify-all", "--only", "cone-p,cone-p")
+        assert code == 0
+        assert out.count("cone-p") == 1
+        code, out, _ = run(capsys, "verify-all", "--only", "cone-p,cone-p", "--json")
+        assert code == 0
+        assert [c["key"] for c in json.loads(out)["checks"]] == ["cone-p"]
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            (
+                json.dumps({"name": "bad", "vertices": ["a"], "edges": []}),
+                "invalid input: vertex 'a' has valence 0",
+            ),
+            ("{not json", "invalid input: {path}: invalid JSON at line 1"),
+        ],
+    )
+    def test_invalid_corpus_web_fails_only_its_check(self, capsys, tmp_path, text, detail):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        only = "cone-p,tait-formula,unknot-model"
+        code, out, err = run(
+            capsys, "verify-all", "--only", only, "--corpus", str(tmp_path), "--json"
+        )
+        assert (code, err) == (1, "")
+        checks = {c["key"]: c for c in json.loads(out)["checks"]}
+        assert sorted(checks) == only.split(",")
+        assert checks["cone-p"]["passed"] and checks["unknot-model"]["passed"]
+        assert not checks["tait-formula"]["passed"]
+        assert checks["tait-formula"]["detail"].startswith(detail.format(path=path))
+
     def test_bad_corpus_dir(self, capsys):
         code, _, err = run(
             capsys, "verify-all", "--only", "cone-p", "--corpus", "/no/such/dir"

@@ -1,16 +1,16 @@
 """Operator models: pinned matrices, relations, and edge decompositions."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
 from webfoam.errors import InternalConsistencyError
 from webfoam.laurent import ONE, P, ZERO
-from webfoam import linalg, operators, webs
+from webfoam import acceptance, linalg, operators, webs
 from webfoam.operators import (
     OperatorModule,
     _check_projections,
-    _image_equations,
     check_vertex_relations,
     edge_decomposition,
     theta_module,
@@ -32,7 +32,6 @@ def unknot_direct_sum() -> OperatorModule:
         return [row + [ZERO] * 3 for row in top] + [[ZERO] * 3 + row for row in bottom]
 
     return OperatorModule(
-        rank=6,
         basis_labels=tuple(range(6)),
         operators={"a": block(UNKNOT_MATRIX, zero), "b": block(zero, UNKNOT_MATRIX)},
     )
@@ -47,7 +46,7 @@ def left_kernel_summand(module: OperatorModule, subset: frozenset) -> list:
     """
     rows = [[ZERO] * module.rank]
     for edge_id in module.edge_ids:
-        u = module.operator(edge_id)
+        u = module.operators[edge_id]
         if edge_id in subset:
             rows.extend(list(r) for r in u)
         else:
@@ -76,15 +75,15 @@ def matching_term(web: webs.Web, subset: frozenset) -> int:
 
 class TestUnknotModule:
     def test_pinned_matrix(self):
-        assert unknot_module().operator("e") == UNKNOT_MATRIX
+        assert unknot_module().operators["e"] == UNKNOT_MATRIX
 
     def test_cubic_relation(self):
-        u = unknot_module().operator("e")
+        u = unknot_module().operators["e"]
         u3 = linalg.mat_mul(linalg.mat_mul(u, u), u)
         assert linalg.is_zero_matrix(linalg.mat_add(u3, linalg.mat_scale(P, u)))
 
     def test_kernel_and_image_ranks(self):
-        u = unknot_module().operator("e")
+        u = unknot_module().operators["e"]
         assert linalg.fraction_rank(u) == 2
         kernel = linalg.nullspace_frac(u)
         assert len(kernel) == 1
@@ -92,15 +91,11 @@ class TestUnknotModule:
         w = [P, ZERO, ONE]
         assert all(v[i] * w[j] == v[j] * w[i] for i in range(3) for j in range(3))
 
-    def test_u_squared_plus_p(self):
-        m = _image_equations(unknot_module())["e"]
-        assert m == [[P, ZERO, ZERO], [ZERO, ZERO, ZERO], [ONE, ZERO, ZERO]]
 
     def test_decomposition(self):
         dec = edge_decomposition(unknot_module())
         assert dec.rank(["e"]) == 1
         assert dec.rank([]) == 2
-
 
     def test_cubic_relation_without_a_vertex(self):
         assert unknot_module().vertices == ()
@@ -139,7 +134,7 @@ class TestThetaModule:
     def test_u3_is_the_dot_shift(self):
         # adding a dot on the third disk steps the last index, falling back
         # to P times the previous step at the top
-        u3 = theta_module().operator("e3")
+        u3 = theta_module().operators["e3"]
         labels = theta_module().basis_labels
 
         def column(j):
@@ -155,16 +150,16 @@ class TestThetaModule:
 
     def test_first_operator_is_sum_of_others(self):
         module = theta_module()
-        u1 = module.operator("e1")
-        total = linalg.mat_add(module.operator("e2"), module.operator("e3"))
+        u1 = module.operators["e1"]
+        total = linalg.mat_add(module.operators["e2"], module.operators["e3"])
         assert u1 == total
 
     def test_operators_commute(self):
         module = theta_module()
         for a in ("e1", "e2", "e3"):
             for b in ("e1", "e2", "e3"):
-                ab = linalg.mat_mul(module.operator(a), module.operator(b))
-                ba = linalg.mat_mul(module.operator(b), module.operator(a))
+                ab = linalg.mat_mul(module.operators[a], module.operators[b])
+                ba = linalg.mat_mul(module.operators[b], module.operators[a])
                 assert ab == ba
 
     def test_decomposition_ranks(self):
@@ -187,7 +182,7 @@ class TestThetaModule:
         dec = edge_decomposition(module)
         basis = dec.basis(["e1"])
         assert len(basis) == 2
-        u1 = module.operator("e1")
+        u1 = module.operators["e1"]
         for vec in basis:
             image = [
                 sum((row[j] * vec[j] for j in range(6)), ZERO) for row in u1
@@ -200,6 +195,43 @@ MODELS = {
     "theta": theta_module,
     "direct-sum": unknot_direct_sum,
 }
+
+
+class TestImages:
+    """``OperatorModule.images``: u_e^2 + P for each edge, built once."""
+
+    def test_unknot_image_is_pinned(self):
+        assert unknot_module().images == {
+            "e": [[P, ZERO, ZERO], [ZERO, ZERO, ZERO], [ONE, ZERO, ZERO]]
+        }
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_images_are_u_squared_plus_p(self, model):
+        module = MODELS[model]()
+        p_ident = linalg.mat_scale(P, linalg.identity(module.rank))
+        assert sorted(module.images) == list(module.edge_ids)
+        for edge_id, u in module.operators.items():
+            image = module.images[edge_id]
+            assert image == linalg.mat_add(linalg.mat_mul(u, u), p_ident)
+            # ker(u^2 + P) = im u, so the two ranks sum to the module rank
+            assert linalg.is_zero_matrix(linalg.mat_mul(u, image))
+            assert linalg.fraction_rank(image) + linalg.fraction_rank(u) == module.rank
+
+    def test_theta_check_squares_each_operator_once(self, monkeypatch):
+        squared = []
+        real = linalg.mat_mul
+
+        def recorded(a, b):
+            if a is b:
+                squared.append(a)
+            return real(a, b)
+
+        monkeypatch.setattr(linalg, "mat_mul", recorded)
+        theta_module.cache_clear()
+        (result,) = acceptance.run_all(["theta-model"])
+        assert result.passed
+        ops = theta_module().operators.values()
+        assert sum(any(m is u for u in ops) for m in squared) == 3
 
 
 class TestKernelForm:
@@ -255,7 +287,6 @@ class TestGuards:
     def test_all_equal_triple_rejected(self):
         with pytest.raises(ValueError, match="cannot account"):
             OperatorModule(
-                rank=3,
                 basis_labels=(0, 1, 2),
                 operators={"e": UNKNOT_MATRIX},
                 vertices=(("e", "e", "e"),),
@@ -265,7 +296,6 @@ class TestGuards:
         theta = theta_module()
         with pytest.raises(ValueError, match="no operator named 'zz'"):
             OperatorModule(
-                rank=6,
                 basis_labels=theta.basis_labels,
                 operators=theta.operators,
                 vertices=(("e1", "e2", "zz"),),
@@ -277,7 +307,6 @@ class TestGuards:
         message = "operators violate u1 \\+ u2 \\+ u3 = 0"
         with pytest.raises(InternalConsistencyError, match=message):
             OperatorModule(
-                rank=6,
                 basis_labels=module.basis_labels,
                 operators=module.operators,
                 vertices=(("a", "b", "a"),),
@@ -286,8 +315,8 @@ class TestGuards:
     def test_constructor_rejects_broken_cubic_relation(self):
         broken = [row[:] for row in UNKNOT_MATRIX]
         broken[0][0] = ONE
-        with pytest.raises(InternalConsistencyError, match="u\\^3"):
-            OperatorModule(rank=3, basis_labels=(0, 1, 2), operators={"e": broken})
+        with pytest.raises(InternalConsistencyError, match="violate e\\^3"):
+            OperatorModule(basis_labels=(0, 1, 2), operators={"e": broken})
 
     def test_constructor_rejects_noncommuting(self):
         a = UNKNOT_MATRIX
@@ -295,23 +324,26 @@ class TestGuards:
         # still satisfies the cubic relation, but does not commute with a
         b = [[ZERO, ONE, ZERO], [P, ZERO, ONE], [ZERO, ZERO, ZERO]]
         with pytest.raises(InternalConsistencyError, match="commute"):
-            OperatorModule(
-                rank=3, basis_labels=(0, 1, 2), operators={"a": a, "b": b}
-            )
+            OperatorModule(basis_labels=(0, 1, 2), operators={"a": a, "b": b})
 
     @staticmethod
-    def corrupted_theta() -> OperatorModule:
-        module = OperatorModule(
-            rank=6,
-            basis_labels=theta_module().basis_labels,
-            operators={
-                name: [row[:] for row in mat]
-                for name, mat in theta_module().operators.items()
+    def corrupted_theta() -> SimpleNamespace:
+        """The theta model's fields with one entry of e2 changed, built
+        without the constructor, which would reject it."""
+        theta = theta_module()
+        ops = {name: [row[:] for row in mat] for name, mat in theta.operators.items()}
+        ops["e2"][0][0] = ops["e2"][0][0] + ONE
+        p_ident = linalg.mat_scale(P, linalg.identity(theta.rank))
+        return SimpleNamespace(
+            rank=theta.rank,
+            operators=ops,
+            vertices=theta.vertices,
+            edge_ids=theta.edge_ids,
+            images={
+                name: linalg.mat_add(linalg.mat_mul(u, u), p_ident)
+                for name, u in ops.items()
             },
-            vertices=theta_module().vertices,
         )
-        module.operators["e2"][0][0] = module.operators["e2"][0][0] + ONE
-        return module
 
     def test_corrupted_module_fails_some_relation(self):
         report = dict(check_vertex_relations(self.corrupted_theta()))
@@ -335,6 +367,4 @@ class TestGuards:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="3x3"):
-            OperatorModule(rank=3, basis_labels=(0, 1, 2), operators={"e": [[ZERO]]})
-        with pytest.raises(ValueError, match="label count"):
-            OperatorModule(rank=3, basis_labels=(0,), operators={})
+            OperatorModule(basis_labels=(0, 1, 2), operators={"e": [[ZERO]]})
