@@ -91,7 +91,6 @@ class TestUnknotModule:
         w = [P, ZERO, ONE]
         assert all(v[i] * w[j] == v[j] * w[i] for i in range(3) for j in range(3))
 
-
     def test_decomposition(self):
         dec = edge_decomposition(unknot_module())
         assert dec.rank(["e"]) == 1
