@@ -37,10 +37,8 @@ _EXPORTS = {
         "T2",
         "T3",
         "P",
-        "p_monomials",
         "eval_at_ones",
         "leading_form",
-        "m_adic_order",
         "substitute_line",
     ),
     "linalg": ("fraction_rank",),

@@ -7,8 +7,9 @@ and stays within its wall-clock budget, and its detail is the summary,
 or else the failures joined by ``"; "``.  A check that raises
 :class:`~webfoam.errors.InternalConsistencyError` becomes a failing
 result carrying the exception text, and the remaining checks still run.
-An ``InputError`` or ``ValidationError`` (a bad web in the corpus
-directory) fails its check the same way, as an ordinary failure.
+An ``InputError`` or ``ValidationError`` fails its check the same way,
+as an ordinary failure.  The Tait check records each bad corpus file as
+``<file name>: <message>`` and goes on with the other webs.
 
 The same checks back the acceptance test module, so the CLI table and
 the test suite can never drift apart.
@@ -81,16 +82,21 @@ def check_tait_formula(ctx: CheckContext) -> Outcome:
     pinned = {"dodecahedron": 60, "petersen": 0}
     counts = {}
     corpus = ctx.corpus or webs.corpus_dir()
-    for path in sorted(corpus.glob("*.json")):
+    paths = sorted(corpus.glob("*.json"))
+    for path in paths:
         name = path.stem
-        web = webs.load_web(path).validate()
+        try:
+            web = webs.load_web(path).validate()
+        except (InputError, ValidationError) as exc:
+            problems.append(f"{path.name}: {str(exc).removeprefix(f'{path}: ')}")
+            continue
         bt = webs.count_tait_backtracking(web)
         mf = webs.count_tait_matching_formula(web)
         counts[name] = bt
         _fail(problems, bt == mf, f"{name}: backtracking {bt} != formula {mf}")
         if name in pinned:
             _fail(problems, bt == pinned[name], f"{name}: {bt} != {pinned[name]}")
-    _fail(problems, bool(counts), f"{corpus}: no *.json web in the corpus")
+    _fail(problems, bool(paths), f"{corpus}: no *.json web in the corpus")
     generated = 0
     for n in range(2, max_vertices + 1, 2):
         for web in webs.generate_connected_cubic(n):

@@ -334,7 +334,8 @@ def _cmd_complex(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     else:
         module = homology.linked_handcuffs_model()
         label = "handcuffs-linked"
-    directions = args.direction or homology.DIRECTIONS
+    # a repeated direction is analysed once, in first-given order
+    directions = dict.fromkeys(args.direction or homology.DIRECTIONS)
     reports = [module.bockstein(d, seed=args.seed) for d in directions]
     report = {
         "complex": label,

@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+__all__ = ["WebfoamError", "InputError", "ValidationError", "InternalConsistencyError"]
+
 
 class WebfoamError(Exception):
     """Base class for errors raised by this package."""

@@ -24,14 +24,12 @@ The fraction field of the Laurent ring is never formed: ranks over it
 come from fraction-free elimination in :mod:`webfoam.linalg`.
 
 The distinguished element ``P`` is the sum of the four monomials with
-all exponents in {-1, +1} and an even number of -1 entries; see
-:func:`p_monomials`.
+all exponents in {-1, +1} and an even number of -1 entries.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import re
 from typing import Iterable, Iterator
@@ -47,10 +45,8 @@ __all__ = [
     "T2",
     "T3",
     "P",
-    "p_monomials",
     "eval_at_ones",
     "leading_form",
-    "m_adic_order",
     "poly_divexact",
     "substitute_line",
     "format_line_image",
@@ -271,19 +267,6 @@ T2 = LaurentPoly.monomial(0, 1, 0)
 T3 = LaurentPoly.monomial(0, 0, 1)
 
 
-def p_monomials() -> frozenset[LaurentPoly]:
-    """The four monomials with exponents in {-1, +1} summing to ``P``.
-
-    Each has an even number of negative exponents; no preferred ordering
-    is exposed.  Their product is 1 and their sum is :data:`P`.
-    """
-    return frozenset(
-        LaurentPoly.monomial(*signs)
-        for signs in itertools.product((1, -1), repeat=3)
-        if signs.count(-1) % 2 == 0
-    )
-
-
 P = LaurentPoly(
     [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
 )
@@ -335,19 +318,6 @@ def leading_form(p: LaurentPoly) -> tuple[int | float, LaurentPoly]:
         return math.inf, ZERO
     order = min(k1 + k2 + k3 for (k1, k2, k3) in acc)
     return order, LaurentPoly(t for t in acc if sum(t) == order)
-
-
-def m_adic_order(p: LaurentPoly) -> int | float:
-    """Order of vanishing at (1, 1, 1), the degree of :func:`leading_form`.
-
-    >>> m_adic_order(P)
-    4
-    >>> m_adic_order(ONE + T1)
-    1
-    >>> m_adic_order(ZERO)
-    inf
-    """
-    return leading_form(p)[0]
 
 
 def _submasks(a: int) -> Iterator[int]:

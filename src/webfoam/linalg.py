@@ -75,7 +75,6 @@ __all__ = [
     "mat_add",
     "mat_mul",
     "mat_scale",
-    "transpose",
     "is_zero_matrix",
     "rank_frac_exact",
     "rank_frac_randomized",
@@ -142,10 +141,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_scale(c: LaurentPoly, a: Matrix) -> Matrix:
     return [[c * x for x in row] for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(row) for row in zip(*a)]
 
 
 def is_zero_matrix(a: Matrix) -> bool:

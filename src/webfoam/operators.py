@@ -29,7 +29,7 @@ from typing import Iterable
 
 from .errors import InternalConsistencyError
 from .foams import THETA_BASIS_DOTS, eval_theta, pairing_matrix
-from .laurent import LaurentPoly, ONE, P, ZERO
+from .laurent import ONE, P, ZERO
 from . import linalg
 from .linalg import Matrix
 
@@ -183,16 +183,11 @@ def check_vertex_relations(module: OperatorModule) -> tuple[tuple[str, bool], ..
 class EdgeDecomposition:
     """Fraction-field ranks of the simultaneous kernel/image summands."""
 
-    module: OperatorModule
     subset_ranks: dict[frozenset, int]
     projection_checks: tuple[tuple[str, bool], ...] = ()
 
     def rank(self, subset: Iterable[str]) -> int:
         return self.subset_ranks[frozenset(subset)]
-
-    def basis(self, subset: Iterable[str]) -> list[list[LaurentPoly]]:
-        """Column vectors spanning the summand over the fraction field."""
-        return linalg.nullspace_frac(_constraints(self.module, frozenset(subset)))
 
 
 def _constraints(module: OperatorModule, subset: frozenset) -> Matrix:
@@ -237,7 +232,7 @@ def edge_decomposition(
     projection_checks = tuple(
         check for vertex in vertices for check in _check_projections(module, vertex)
     )
-    return EdgeDecomposition(module, subset_ranks, projection_checks)
+    return EdgeDecomposition(subset_ranks, projection_checks)
 
 
 def _check_projections(

@@ -42,7 +42,6 @@ __all__ = [
     "Web",
     "one_sets",
     "one_set_census",
-    "components",
     "complement_cycles",
     "is_even",
     "count_tait_backtracking",
@@ -222,30 +221,6 @@ def _one_sets(inc: _Incidences, order: list[int]) -> list[tuple[int, ...]]:
 
     extend(0, ())
     return matchings
-
-
-def components(web: Web) -> list[Web]:
-    """The connected components of the vertex part, as circle-free webs.
-
-    Tait colorings, 1-sets and even 1-sets of a web are those of its
-    components chosen independently, so their counts multiply.
-    Components come in the order of their first vertex, and each keeps
-    the web's vertex and edge order.
-    """
-    graph = _Graph(web)
-    parts = graph.parts()
-    if len(parts) == 1 and not graph.circles:
-        return [web]
-    edges = [sorted({j for v in part for j, _ in graph.inc[v]}) for part in parts]
-    return [
-        Web(
-            web.name,
-            tuple(web.vertices[v] for v in sorted(part)),
-            tuple(web.edges[j] for j in js),
-            web.planar,
-        )
-        for part, js in zip(parts, edges)
-    ]
 
 
 def complement_cycles(web: Web, s: Iterable[str]) -> list[int]:

@@ -30,10 +30,6 @@ def random_poly(rng: random.Random, max_terms: int = 4, spread: int = 2) -> Laur
     return LaurentPoly(terms)
 
 
-def is_monomial(p: LaurentPoly) -> bool:
-    return len(p.terms) == 1
-
-
 def gf2_divmod(a: int, b: int) -> tuple[int, int]:
     """Quotient and remainder in F2[t]."""
     if b == 0:

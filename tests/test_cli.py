@@ -213,6 +213,26 @@ class TestComplex:
         assert code == 0
         assert out == (DATA / golden).read_text()
 
+    @pytest.mark.parametrize("command", ["analyze", "cone-p", "handcuffs-linked"])
+    def test_repeated_direction_runs_once(self, capsys, tmp_path, command):
+        argv = ["complex", command]
+        if command == "analyze":
+            path = tmp_path / "cone.json"
+            path.write_text(json.dumps(complex_to_dict(cone_of_p())))
+            argv.append(str(path))
+        cases = [
+            (("1,1,1", "1,1,1"), ("1,1,1",)),
+            (("1,1,0", "1,1,1", "1,1,0"), ("1,1,0", "1,1,1")),
+        ]
+        for given, once in cases:
+            for as_json in ((), ("--json",)):
+                outputs = [
+                    run(capsys, *argv, *as_json, *(f"--direction={d}" for d in ds))
+                    for ds in (given, once)
+                ]
+                assert outputs[0] == outputs[1]
+                assert outputs[0][0] == 0
+
     def test_direction_validation(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "complex", "cone-p", "--direction", "2,1,1")
@@ -488,9 +508,9 @@ class TestVerifyAll:
         [
             (
                 json.dumps({"name": "bad", "vertices": ["a"], "edges": []}),
-                "invalid input: vertex 'a' has valence 0",
+                "bad.json: vertex 'a' has valence 0",
             ),
-            ("{not json", "invalid input: {path}: invalid JSON at line 1"),
+            ("{not json", "bad.json: invalid JSON at line 1"),
         ],
     )
     def test_invalid_corpus_web_fails_only_its_check(self, capsys, tmp_path, text, detail):
@@ -505,7 +525,24 @@ class TestVerifyAll:
         assert sorted(checks) == only.split(",")
         assert checks["cone-p"]["passed"] and checks["unknot-model"]["passed"]
         assert not checks["tait-formula"]["passed"]
-        assert checks["tait-formula"]["detail"].startswith(detail.format(path=path))
+        assert checks["tait-formula"]["detail"].startswith(detail)
+
+    def test_each_bad_corpus_web_is_named_once(self, capsys, tmp_path):
+        # a bad web neither stops the check nor hides the next one
+        (tmp_path / "broken.json").write_text("{not json")
+        (tmp_path / "theta.json").write_text(json.dumps(web_to_dict(corpus_web("theta"))))
+        (tmp_path / "zero.json").write_text(
+            json.dumps({"name": "zero", "vertices": ["a"], "edges": []})
+        )
+        argv = ("verify-all", "--only", "tait-formula", "--corpus", str(tmp_path))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        row, verdict = out.splitlines()
+        assert verdict == "FAILURES"
+        assert row.startswith("FAIL  tait-formula  broken.json: invalid JSON at line 1")
+        assert row.endswith("; zero.json: vertex 'a' has valence 0")
+        assert row.count("broken.json") == row.count("zero.json") == 1
+        assert str(tmp_path) not in row
 
     def test_bad_corpus_dir(self, capsys):
         code, _, err = run(
@@ -586,6 +623,13 @@ class TestImports:
         assert set(webfoam.__all__) <= set(dir(webfoam))
         with pytest.raises(AttributeError):
             webfoam.no_such_name
+        # a deletion that leaves a stale export fails here
+        for module in webfoam._SUBMODULES:
+            sub = getattr(webfoam, module)
+            for name in vars(sub).get("__all__", ()):
+                assert hasattr(sub, name), f"{module}.{name}"
+        for module, exported in webfoam._EXPORTS.items():
+            assert set(exported) <= set(getattr(webfoam, module).__all__), module
 
     def test_tracer_hooks_stay_module_attributes(self):
         from webfoam import cli, foams

@@ -1,12 +1,13 @@
 """Ring arithmetic, serialization, substitutions, and local orders."""
 
+import itertools
 import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import gf2_divmod, gf2_gcd, gf2_pow, is_monomial
+from conftest import gf2_divmod, gf2_gcd, gf2_pow
 from webfoam.laurent import (
     LaurentPoly,
     MAX_PARSED_EXPONENT,
@@ -24,8 +25,6 @@ from webfoam.laurent import (
     gf2_mul_one_plus_t_pow,
     gf2_valuation,
     leading_form,
-    m_adic_order,
-    p_monomials,
     poly_divexact,
     substitute_line,
 )
@@ -53,20 +52,15 @@ class TestRingBasics:
         assert (T1 + T2).terms == frozenset({(1, 0, 0), (0, 1, 0)})
 
     def test_p_is_the_four_monomial_sum(self):
-        total = ZERO
-        for m in p_monomials():
-            total = total + m
-        assert total == P
+        # the triples in {-1, +1}^3 with an even number of -1 entries
+        signs = itertools.product((1, -1), repeat=3)
+        assert P.terms == {s for s in signs if s.count(-1) % 2 == 0}
 
     def test_p_monomial_shape(self):
-        monos = p_monomials()
-        assert len(monos) == 4
         product = ONE
-        for m in monos:
-            assert is_monomial(m)
-            ((e1, e2, e3),) = m.terms
+        for (e1, e2, e3) in P.terms:
             assert {abs(e1), abs(e2), abs(e3)} == {1}
-            product = product * m
+            product = product * LaurentPoly.monomial(e1, e2, e3)
         assert product == ONE
 
     def test_multiplicative_identities(self):
@@ -154,16 +148,16 @@ class TestEvalAtOnes:
 
 class TestMAdicOrder:
     def test_examples(self):
-        assert m_adic_order(P) == 4
-        assert m_adic_order(ONE + T1) == 1
-        assert m_adic_order(ZERO) == math.inf
-        assert m_adic_order(ONE) == 0
-        assert m_adic_order(T1.inverse_monomial()) == 0
+        assert leading_form(P)[0] == 4
+        assert leading_form(ONE + T1)[0] == 1
+        assert leading_form(ZERO)[0] == math.inf
+        assert leading_form(ONE)[0] == 0
+        assert leading_form(T1.inverse_monomial())[0] == 0
 
     @given(polys, polys)
     def test_multiplicative(self, p, q):
         # F2[[eps]] is a domain, so orders add.
-        assert m_adic_order(p * q) == m_adic_order(p) + m_adic_order(q)
+        assert leading_form(p * q)[0] == leading_form(p)[0] + leading_form(q)[0]
 
 
 class TestDivexact:
@@ -332,7 +326,7 @@ class TestSubstituteLine:
     @given(polys)
     def test_valuation_dominates_m_adic_order(self, p):
         num, _ = substitute_line(p, (1, 1, 1))
-        assert gf2_valuation(num) >= m_adic_order(p)
+        assert gf2_valuation(num) >= leading_form(p)[0]
 
     @given(polys)
     def test_valuation_meets_order_when_leading_form_survives(self, p):
@@ -367,7 +361,6 @@ class TestSubstituteLine:
             order = min(sum(m) for m in expansion.keys())
             form = LaurentPoly(m for m in expansion.keys() if sum(m) == order)
             assert leading_form(p) == (order, form)
-            assert m_adic_order(p) == order
 
     @given(polys)
     def test_substitution_is_additive(self, p):

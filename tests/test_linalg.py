@@ -258,7 +258,7 @@ class TestRank:
     def test_rank_is_transpose_invariant(self, rng):
         for _ in range(20):
             mat = [[random_poly(rng, 2, 1) for _ in range(4)] for _ in range(3)]
-            assert rank_frac_exact(mat) == rank_frac_exact(linalg.transpose(mat))
+            assert rank_frac_exact(mat) == rank_frac_exact([list(r) for r in zip(*mat)])
 
 
 def sparse_matrix(rng, rows, cols):

@@ -383,26 +383,13 @@ class TestTaitCounts:
             assert count_tait_backtracking(union) == expected
             assert count_tait_matching_formula(union) == expected
 
-    def test_components_split_the_vertex_part(self):
-        union = disjoint_union(disjoint_union(THETA, UNKNOT), HANDCUFFS)
-        parts = webs.components(union)
-        assert [p.vertices for p in parts] == [("0:0:a", "0:0:b"), ("1:a", "1:b")]
-        assert [[e.id for e in p.edges] for p in parts] == [
-            ["0:0:e1", "0:0:e2", "0:0:e3"], ["1:l1", "1:c", "1:l2"]
-        ]
-        assert webs.components(THETA) == [THETA]
-        assert webs.components(UNKNOT) == webs.components(EMPTY) == []
-
     def test_interleaved_components(self):
         # vertices of a theta (b), K4 (a) and handcuffs (h) interleaved, edges
         # out of vertex order, circles between them
         web = interleaved_web()
-        parts = webs.components(web)
-        assert [p.vertices for p in parts] == [
-            ("b1", "b2"), ("a1", "a2", "a3", "a4"), ("h1", "h2")
-        ]
-        assert [[e.id for e in p.edges] for p in parts] == [
-            ["t1", "t2", "t3"], ["k6", "k1", "k5", "k4", "k2", "k3"], ["l2", "h", "l1"]
+        parts = webs._Graph(web).parts()
+        assert [[web.vertices[v] for v in part] for part in parts] == [
+            ["b1", "b2"], ["a1", "a2", "a3", "a4"], ["h1", "h2"]
         ]
         k4 = [{"k1", "k6"}, {"k5", "k4"}, {"k2", "k3"}]
         assert one_sets(web) == [
@@ -459,7 +446,6 @@ def test_nothing_is_cached():
     one_sets(web)
     complement_cycles(web, one_sets(web)[0])
     one_set_census(web)
-    webs.components(web)
     count_tait_backtracking(web)
     count_tait_matching_formula(web)
     is_abstract_planar(web)
