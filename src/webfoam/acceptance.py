@@ -204,7 +204,7 @@ def check_unknot_model(ctx: CheckContext) -> Outcome:
     problems: list[str] = []
     module = operators.unknot_module()
     u = module.operators["e"]
-    pinned = [[ZERO, ZERO, ZERO], [ONE, ZERO, P], [ZERO, ONE, ZERO]]
+    pinned = ((ZERO, ZERO, ZERO), (ONE, ZERO, P), (ZERO, ONE, ZERO))
     _fail(problems, u == pinned, "operator matrix differs from the pinned model")
     for name, ok in module.relations:
         _fail(problems, ok, f"relation failed: {name}")
@@ -303,7 +303,7 @@ def check_handcuffs_pair(ctx: CheckContext) -> Outcome:
 
     model = homology.linked_handcuffs_model()
     a = model.two_term
-    pinned = [[P, ZERO, ZERO], [ZERO, ZERO, ZERO], [ONE, ZERO, ZERO]]
+    pinned = ((P, ZERO, ZERO), (ZERO, ZERO, ZERO), (ONE, ZERO, ZERO))
     _fail(problems, a == pinned, "u^2 + P*I differs from the pinned matrix")
     rank_a = linalg.fraction_rank(a)
     _fail(

@@ -18,7 +18,8 @@ returns its exit code, its report and its text lines; :func:`main` alone
 prints, the report as JSON under ``--json`` and the lines otherwise.
 
 Exit codes: 0 success, 1 failed checks, 2 usage error, 3 malformed
-input, 4 invalid web or complex, 5 internal consistency failure.
+input (and running out of memory), 4 invalid web or complex, 5 internal
+consistency failure.
 """
 
 from __future__ import annotations
@@ -426,6 +427,9 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_INPUT
     finally:
         sys.set_int_max_str_digits(digit_limit)
 

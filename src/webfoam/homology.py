@@ -89,9 +89,8 @@ class SpecializationReport:
 class DifferentialModule:
     """Free module over the Laurent ring with a square-zero endomorphism.
 
-    The differential must not be mutated after construction: the
-    module remembers the differential's rank over the fraction field.
-    The exact (Bareiss) rank is computed once, on the first
+    The matrices are tuples of tuple rows.  The exact (Bareiss) rank
+    of the differential is computed once, on the first
     :meth:`frac_rank` request, and the randomized GF(2^16) cross-check
     runs once for each distinct seed passed to :meth:`frac_rank`.
     ``two_term``, when set, is the map ``a: R^(rank - len(a)) -> R^len(a)``
@@ -103,23 +102,23 @@ class DifferentialModule:
     def __init__(
         self,
         differential: Sequence[Sequence[LaurentPoly]],
-        two_term: Matrix | None = None,
+        two_term: Sequence[Sequence[LaurentPoly]] | None = None,
     ):
-        d = [list(row) for row in differential]
+        d = tuple(map(tuple, differential))
         n = len(d)
         if any(len(row) != n for row in d):
             raise ValidationError(f"differential must be {n}x{n}")
         if not linalg.is_zero_matrix(linalg.mat_mul(d, d)):
             raise ValidationError("differential does not square to zero")
         self.differential = d
-        self.two_term = two_term
+        self.two_term = None if two_term is None else tuple(map(tuple, two_term))
         self._exact_rank: int | None = None
         self._checked_seeds: set[int] = set()
 
     @classmethod
     def from_map(cls, a: Sequence[Sequence[LaurentPoly]]) -> "DifferentialModule":
         """Mapping cone of ``a: R^cols -> R^rows`` as a square-zero block."""
-        return cls(_cone(a), two_term=[list(r) for r in a])
+        return cls(_cone(a), two_term=a)
 
     @property
     def rank(self) -> int:
@@ -143,7 +142,9 @@ class DifferentialModule:
             randomized = linalg.rank_frac_randomized(
                 self.differential, random.Random(seed)
             )
-            linalg.check_rank_agreement(self._exact_rank, randomized, seed)
+            linalg.check_rank_agreement(
+                self._exact_rank, randomized, seed, (self.rank, self.rank)
+            )
         self._checked_seeds.add(seed)
         return self.rank - 2 * self._exact_rank
 
@@ -196,15 +197,16 @@ class DifferentialModule:
         r = self.rank - 2 * len(exps)
         l = len(torsion)
         f2 = self.f2_dim()
+        where = f"along direction {','.join(map(str, direction))} (seed {seed})"
         if f2 != r + 2 * l:
             raise InternalConsistencyError(
-                f"universal-coefficient identity violated: "
+                f"universal-coefficient identity violated {where}: "
                 f"f2_dim {f2} != {r} + 2*{l}"
             )
         fr = self.frac_rank(seed)
         if r < fr:
             raise InternalConsistencyError(
-                f"free rank {r} after substitution is below the generic rank {fr}"
+                f"free rank {r} {where} is below the generic rank {fr}"
             )
         return SpecializationReport(
             direction=direction,
@@ -221,10 +223,7 @@ def _cone(a: Sequence[Sequence[LaurentPoly]]) -> Matrix:
     """The square-zero block ((0, a), (0, 0)) of ``a: R^cols -> R^rows``."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    d = linalg.zeros(rows + cols, rows + cols)
-    for i in range(rows):
-        d[i][rows:] = a[i]
-    return d
+    return tuple((ZERO,) * rows + tuple(r) for r in a) + linalg.zeros(cols, rows + cols)
 
 
 def cone_of_p() -> DifferentialModule:
@@ -270,7 +269,8 @@ def random_complex(seed: int, size: int) -> DifferentialModule:
             )
         return acc
 
-    d = _cone([[random_entry() for _ in range(cols)] for _ in range(rows)])
+    a = [[random_entry() for _ in range(cols)] for _ in range(rows)]
+    d = [list(r) for r in _cone(a)]
     for _ in range(size):
         i, j = rng.sample(range(size), 2)
         c = LaurentPoly.monomial(
@@ -332,7 +332,7 @@ def complex_from_dict(data: object, source: str = "<complex>") -> DifferentialMo
     rows = data.get("differential")
     if not isinstance(rows, list) or len(rows) != rank:
         raise fail("differential", f"expected a list of {rank} rows")
-    parsed: Matrix = []
+    parsed = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != rank:
             raise fail(f"differential[{i}]", f"expected a list of {rank} entries")

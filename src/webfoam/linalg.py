@@ -1,7 +1,7 @@
 """Exact linear algebra over the Laurent ring.
 
-Matrices are lists of rows of :class:`~webfoam.laurent.LaurentPoly`
-entries.  Everything here is exact:
+Matrices are tuples of rows (tuples) of :class:`~webfoam.laurent.LaurentPoly`
+entries; inputs may be any sequences of rows.  Everything here is exact:
 
 * one fraction-free (Bareiss) elimination kernel, which stays in the
   ring R: each row is first scaled by a monomial unit so its entries are
@@ -67,7 +67,7 @@ from .laurent import (
     poly_divexact,  # no caller here; kept as the attribute a tracer wraps
 )
 
-Matrix = list[list[LaurentPoly]]
+Matrix = tuple[tuple[LaurentPoly, ...], ...]
 
 __all__ = [
     "identity",
@@ -107,15 +107,15 @@ DENSE_BUDGET_BITS = 1 << 25
 
 
 def identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO] * cols for _ in range(rows)]
+    return ((ZERO,) * cols,) * rows
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -135,12 +135,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 if y is not None:
                     add_product(acc, x, y)
             out_row.append(LaurentPoly(acc) if acc else ZERO)
-        out.append(out_row)
-    return out
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def mat_scale(c: LaurentPoly, a: Matrix) -> Matrix:
-    return [[c * x for x in row] for row in a]
+    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def is_zero_matrix(a: Matrix) -> bool:
@@ -151,7 +151,7 @@ def _bareiss(
     mat: Sequence[Sequence[LaurentPoly]],
     reduce_above: bool,
     max_rank: int | None = None,
-) -> tuple[Matrix, list[int], LaurentPoly, tuple[int, int, int]]:
+) -> tuple[list[list[LaurentPoly]], list[int], LaurentPoly, tuple[int, int, int]]:
     """Fraction-free (Bareiss) elimination, the one kernel behind this module.
 
     Each row is first multiplied by the monomial T^-shift that makes all
@@ -283,20 +283,22 @@ def det_poly(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
 
 
 def _minor(mat: Sequence[Sequence[LaurentPoly]], drop_row: int, drop_col: int) -> Matrix:
-    return [
-        [x for j, x in enumerate(row) if j != drop_col]
+    return tuple(
+        tuple(x for j, x in enumerate(row) if j != drop_col)
         for i, row in enumerate(mat)
         if i != drop_row
-    ]
+    )
 
 
 def adjugate(mat: Sequence[Sequence[LaurentPoly]]) -> Matrix:
     """Adjugate matrix: adj(M)[i][j] = det of the (j, i) minor (char 2)."""
     n = len(mat)
-    return [[det_poly(_minor(mat, j, i)) for j in range(n)] for i in range(n)]
+    return tuple(tuple(det_poly(_minor(mat, j, i)) for j in range(n)) for i in range(n))
 
 
-def solve_unimodular(mat: Matrix, rhs: Matrix) -> Matrix:
+def solve_unimodular(
+    mat: Sequence[Sequence[LaurentPoly]], rhs: Sequence[Sequence[LaurentPoly]]
+) -> Matrix:
     """Solve M X = B over the Laurent ring for M with det(M) = 1.
 
     Reduces ``[M | B]`` by fraction-free Gauss-Jordan elimination; the
@@ -309,20 +311,20 @@ def solve_unimodular(mat: Matrix, rhs: Matrix) -> Matrix:
     if len(rhs) != n or any(len(row) != n for row in mat):
         raise ValueError("solve needs a square matrix and a right side of as many rows")
     reduced, pivot_cols, last, total = _bareiss(
-        [list(row) + list(extra) for row, extra in zip(mat, rhs)], reduce_above=True
+        [(*row, *extra) for row, extra in zip(mat, rhs)], reduce_above=True
     )
     covers = sorted(pivot_cols) == list(range(n))
     d = last.shifted(*total) if covers else ZERO
     if d != ONE:
         raise InternalConsistencyError(f"matrix is not unimodular: det = {d}")
     # d == 1 makes the last pivot the unit T^-total: dividing is a shift.
-    solution: Matrix = [[] for _ in range(n)]
+    solution: list = [()] * n
     for row, pc in zip(reduced, pivot_cols):
-        solution[pc] = [x.shifted(*total) for x in row[n:]]
-    return solution
+        solution[pc] = tuple(x.shifted(*total) for x in row[n:])
+    return tuple(solution)
 
 
-def nullspace_frac(mat: Sequence[Sequence[LaurentPoly]]) -> list[list[LaurentPoly]]:
+def nullspace_frac(mat: Sequence[Sequence[LaurentPoly]]) -> Matrix:
     """Basis of the right null space over Frac(R), with ring entries.
 
     After fraction-free Gauss-Jordan elimination every pivot entry equals
@@ -341,8 +343,8 @@ def nullspace_frac(mat: Sequence[Sequence[LaurentPoly]]) -> list[list[LaurentPol
         vec[f] = last
         for row, pc in zip(reduced, pivot_cols):
             vec[pc] = row[f]
-        basis.append(vec)
-    return basis
+        basis.append(tuple(vec))
+    return tuple(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +429,7 @@ def _eval_poly_gf16(p: LaurentPoly, logs: tuple[int, int, int]) -> int:
     return acc
 
 
-def _rank_gf16(rows: list[list[int]]) -> int:
-    m = [list(r) for r in rows]
+def _rank_gf16(m: list[list[int]]) -> int:
     if not m:
         return 0
     cols = len(m[0])
@@ -470,16 +471,22 @@ def rank_frac_randomized(
     return best
 
 
-def check_rank_agreement(exact: int, randomized: int, seed: int) -> None:
-    """Raise InternalConsistencyError unless the two rank routes agree."""
+def check_rank_agreement(
+    exact: int, randomized: int, seed: int, shape: tuple[int, int]
+) -> None:
+    """Raise InternalConsistencyError unless the two rank routes agree.
+
+    Both messages name the ``seed`` and the matrix ``shape`` (rows, cols).
+    """
+    where = f"(seed {seed}, {shape[0]}x{shape[1]} matrix)"
     if randomized > exact:
         raise InternalConsistencyError(
-            f"randomized rank {randomized} exceeds exact rank {exact}"
+            f"randomized rank {randomized} exceeds exact rank {exact} {where}"
         )
     if randomized != exact:
         raise InternalConsistencyError(
             f"randomized rank {randomized} disagrees with exact rank {exact} "
-            f"(seed {seed}); this should be astronomically unlikely"
+            f"{where}; this should be astronomically unlikely"
         )
 
 
@@ -495,7 +502,8 @@ def fraction_rank(
     """
     exact = rank_frac_exact(mat, max_rank)
     randomized = rank_frac_randomized(mat, random.Random(seed))
-    check_rank_agreement(exact, randomized, seed)
+    shape = (len(mat), len(mat[0]) if mat else 0)
+    check_rank_agreement(exact, randomized, seed, shape)
     return exact
 
 

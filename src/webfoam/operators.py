@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import types
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import InternalConsistencyError
 from .foams import THETA_BASIS_DOTS, eval_theta, pairing_matrix
@@ -52,19 +53,20 @@ class OperatorModule:
     ``images`` maps each edge e to u_e^2 + P, whose kernel is the image
     of u_e, built once here.  ``relations`` holds the ``(label, holds)``
     outcomes of the one :func:`check_vertex_relations` run the
-    constructor makes.  The matrices are lists and must not be mutated:
-    ``images`` and ``relations`` are derived from them once.
+    constructor makes.  The maps are read-only and the matrices tuples.
     """
 
     basis_labels: tuple
-    operators: dict[str, Matrix]
+    operators: Mapping[str, Matrix]
     vertices: tuple[tuple[str, str, str], ...] = ()
-    images: dict[str, Matrix] = field(init=False, repr=False, compare=False)
+    images: Mapping[str, Matrix] = field(init=False, repr=False, compare=False)
     relations: tuple[tuple[str, bool], ...] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
+        ops = {name: tuple(map(tuple, u)) for name, u in self.operators.items()}
+        object.__setattr__(self, "operators", types.MappingProxyType(ops))
         n = self.rank
         for name, mat in self.operators.items():
             if len(mat) != n or any(len(row) != n for row in mat):
@@ -84,7 +86,7 @@ class OperatorModule:
             name: linalg.mat_add(linalg.mat_mul(u, u), p_ident)
             for name, u in self.operators.items()
         }
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", types.MappingProxyType(images))
         object.__setattr__(self, "relations", check_vertex_relations(self))
         for label, ok in self.relations:
             if not ok:
@@ -192,12 +194,12 @@ class EdgeDecomposition:
 
 def _constraints(module: OperatorModule, subset: frozenset) -> Matrix:
     """Rows of u_e for e in ``subset`` and of u_e^2 + P for e outside it."""
-    rows = [
+    rows = tuple(
         row
         for e in module.edge_ids
         for row in (module.operators[e] if e in subset else module.images[e])
-    ]
-    return rows or [[ZERO] * module.rank]
+    )
+    return rows or linalg.zeros(1, module.rank)
 
 
 def edge_decomposition(

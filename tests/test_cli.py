@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -25,13 +26,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv, limit_s=10):
-    """The CLI in a fresh interpreter, killed after ``limit_s`` seconds."""
+def run_process(*argv, limit_s=10, preexec_fn=None):
+    """The CLI in a fresh interpreter, killed after ``limit_s`` seconds.
+
+    ``preexec_fn`` runs in the child before the interpreter starts.
+    """
     src = str(Path(webfoam.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
         [sys.executable, "-m", "webfoam.cli", *argv],
         capture_output=True, text=True, env=env, timeout=limit_s,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -269,6 +274,26 @@ class TestComplex:
 class TestAdversarialInputs:
     """Small hostile files run in a fresh CLI process under a time limit."""
 
+    #: Address space, in bytes, of a child run under a memory limit.
+    MEMORY_LIMIT = 400 * 2**20
+
+    @staticmethod
+    def prism_file(tmp_path, n: int = 400) -> Path:
+        """The prism C_n x K2: n squares in a ring, 3n edges."""
+        edges = [
+            {"id": f"{kind}{i}", "ends": ends}
+            for i in range(n)
+            for kind, ends in (
+                ("x", [f"a{i}", f"a{(i + 1) % n}"]),
+                ("y", [f"b{i}", f"b{(i + 1) % n}"]),
+                ("z", [f"a{i}", f"b{i}"]),
+            )
+        ]
+        vertices = [f"{side}{i}" for side in "ab" for i in range(n)]
+        path = tmp_path / "prism.json"
+        path.write_text(json.dumps({"name": "prism", "vertices": vertices, "edges": edges}))
+        return path
+
     @staticmethod
     def web_file(tmp_path, circles: int, base: str | None = None) -> str:
         data = web_to_dict(corpus_web(base)) if base else {"vertices": [], "edges": []}
@@ -428,22 +453,21 @@ class TestAdversarialInputs:
 
     def test_deep_web_exit_code(self, tmp_path):
         # the prism C_400 x K2: the exact counters recurse once per edge
-        n = 400
-        edges = [
-            {"id": f"{kind}{i}", "ends": ends}
-            for i in range(n)
-            for kind, ends in (
-                ("x", [f"a{i}", f"a{(i + 1) % n}"]),
-                ("y", [f"b{i}", f"b{(i + 1) % n}"]),
-                ("z", [f"a{i}", f"b{i}"]),
-            )
-        ]
-        vertices = [f"{side}{i}" for side in "ab" for i in range(n)]
-        path = tmp_path / "prism.json"
-        path.write_text(json.dumps({"name": "prism", "vertices": vertices, "edges": edges}))
+        path = self.prism_file(tmp_path)
         proc = run_process("web", "tait", str(path))
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == f"error: {path}: too large for the exact counters\n"
+
+    def test_out_of_memory_exit_code(self, tmp_path):
+        # the census lists all 2^400 + 8 1-sets of the prism C_400 x K2, so
+        # the child's address space runs out within seconds
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (self.MEMORY_LIMIT,) * 2)
+
+        path = self.prism_file(tmp_path)
+        proc = run_process("web", "info", str(path), preexec_fn=limit_memory)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: out of memory\n"
 
     def test_huge_declared_rank_exit_code(self, tmp_path):
         path = tmp_path / "rank.json"

@@ -39,10 +39,12 @@ class TestConstruction:
     def test_from_map_layout(self):
         cone = DifferentialModule.from_map([[P, ZERO], [ZERO, P]])
         assert cone.rank == 4
-        expected = linalg.zeros(4, 4)
-        expected[0][2] = P
-        expected[1][3] = P
-        assert cone.differential == expected
+        assert cone.differential == (
+            (ZERO, ZERO, P, ZERO),
+            (ZERO, ZERO, ZERO, P),
+            (ZERO, ZERO, ZERO, ZERO),
+            (ZERO, ZERO, ZERO, ZERO),
+        )
 
 
 class TestRanks:
@@ -60,7 +62,7 @@ class TestRanks:
         assert model.rank == 6
         assert model.frac_rank() == 4
         assert model.f2_dim() == 4
-        assert model.two_term == [[P, ZERO, ZERO], [ZERO, ZERO, ZERO], [ONE, ZERO, ZERO]]
+        assert model.two_term == ((P, ZERO, ZERO), (ZERO, ZERO, ZERO), (ONE, ZERO, ZERO))
         assert model.two_term_ranks() == (2, 2)
 
     def test_two_term_ranks_requires_two_term_form(self):
@@ -194,6 +196,21 @@ class TestBockstein:
             cone = DifferentialModule.from_map(a)
             rep = cone.bockstein((1, 1, 1))
             assert all(e >= 4 for e in rep.torsion_exponents)
+
+    def test_broken_identity_names_direction_and_seed(self, monkeypatch):
+        # one exponent 0 on the rank-4 cone: r = 2, l = 0, but f2_dim is 4
+        monkeypatch.setattr(linalg, "smith_normal_form", lambda mat: [0])
+        message = r"identity violated along direction 1,1,0 \(seed 7\)"
+        with pytest.raises(InternalConsistencyError, match=message):
+            cone_of_p().bockstein((1, 1, 0), seed=7)
+
+    def test_low_free_rank_names_direction_and_seed(self, monkeypatch):
+        # exponents (0, 1) on the rank-6 handcuffs cone keep r + 2*l = 4 =
+        # f2_dim, but r = 2 is below the generic rank 4
+        monkeypatch.setattr(linalg, "smith_normal_form", lambda mat: [0, 1])
+        message = r"free rank 2 along direction 1,1,1 \(seed 7\) is below"
+        with pytest.raises(InternalConsistencyError, match=message):
+            linked_handcuffs_model().bockstein((1, 1, 1), seed=7)
 
 
 class TestRandomComplexes:

@@ -149,7 +149,7 @@ class TestGF16:
         rank_gf16 = linalg._rank_gf16
 
         def recorded(rows):
-            evaluated.append(rows)
+            evaluated.append(list(rows))
             return rank_gf16(rows)
 
         monkeypatch.setattr(linalg, "_rank_gf16", recorded)
@@ -214,13 +214,13 @@ class TestDeterminant:
         # so the solution is adj(M) * B, with adj computed by cofactors
         for _ in range(20):
             n = rng.randint(1, 4)
-            mat = identity(n)
+            mat = list(identity(n))
             for _ in range(rng.randint(0, 6) if n > 1 else 0):
                 i, j = rng.sample(range(n), 2)
                 c = random_poly(rng, 2, 1)
                 mat[i] = [x + c * y for x, y in zip(mat[i], mat[j])]
             k = rng.randint(1, 3)
-            rhs = [[random_poly(rng, 2, 1) for _ in range(k)] for _ in range(n)]
+            rhs = tuple(tuple(random_poly(rng, 2, 1) for _ in range(k)) for _ in range(n))
             assert det_poly(mat) == ONE
             solution = linalg.solve_unimodular(mat, rhs)
             assert solution == mat_mul(adjugate(mat), rhs)
@@ -265,10 +265,10 @@ def sparse_matrix(rng, rows, cols):
     """A random matrix with at least half its entries zero."""
     cells = [(i, j) for i in range(rows) for j in range(cols)]
     zero = set(rng.sample(cells, (len(cells) + 1) // 2))
-    return [
-        [ZERO if (i, j) in zero else random_poly(rng, 3, 1) for j in range(cols)]
+    return tuple(
+        tuple(ZERO if (i, j) in zero else random_poly(rng, 3, 1) for j in range(cols))
         for i in range(rows)
-    ]
+    )
 
 
 class TestBareissKernel:
@@ -307,7 +307,7 @@ def laplace_det(mat):
 
 def unimodular(rng, n, steps):
     """A product of elementary matrices I + c*E_ij: determinant 1."""
-    mat = identity(n)
+    mat = list(identity(n))
     for _ in range(steps if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         c = random_poly(rng, 2, 1)
@@ -369,7 +369,7 @@ class TestPackedPaths:
         for _ in range(12):
             n = rng.randint(1, 6)
             mat = unimodular(rng, n, rng.randint(0, 8))
-            rhs = [[random_poly(rng, 2, 1) for _ in range(2)] for _ in range(n)]
+            rhs = tuple(tuple(random_poly(rng, 2, 1) for _ in range(2)) for _ in range(n))
             dense, sparse = self.on_both_paths(
                 monkeypatch, linalg.solve_unimodular, mat, rhs
             )
@@ -478,7 +478,8 @@ class TestRankBound:
         mat = [[ONE, T1], [T1, T2]]
         assert fraction_rank(mat) == 2
         assert rank_frac_exact(mat, max_rank=1) == 1
-        with pytest.raises(InternalConsistencyError, match="exceeds exact rank"):
+        message = r"exceeds exact rank 1 \(seed 0, 2x2 matrix\)"
+        with pytest.raises(InternalConsistencyError, match=message):
             fraction_rank(mat, max_rank=1)
 
     def test_a_bound_above_the_shape_changes_nothing(self, rng):
@@ -495,11 +496,36 @@ class TestMatMul:
                 [random_poly(rng, 3, 2) for _ in range(k)] for _ in range(n)
             ]
             b = [[random_poly(rng, 3, 2) for _ in range(m)] for _ in range(k)]
-            expected = [
-                [sum((a[i][t] * b[t][j] for t in range(k)), ZERO) for j in range(m)]
+            expected = tuple(
+                tuple(sum((a[i][t] * b[t][j] for t in range(k)), ZERO) for j in range(m))
                 for i in range(n)
-            ]
+            )
             assert mat_mul(a, b) == expected
+
+
+class TestMatrixType:
+    def test_matrix_functions_return_tuple_rows(self):
+        m = [[ONE, T1], [ZERO, ONE]]  # list rows in, tuple rows out
+        results = {
+            "identity": identity(2),
+            "zeros": linalg.zeros(2, 3),
+            "mat_add": linalg.mat_add(m, m),
+            "mat_mul": mat_mul(m, m),
+            "mat_scale": linalg.mat_scale(P, m),
+            "adjugate": adjugate(m),
+            "solve_unimodular": linalg.solve_unimodular(m, m),
+            "nullspace_frac": nullspace_frac([[ONE, T1]]),
+        }
+        # every public function annotated to return a Matrix is listed
+        public = {name: getattr(linalg, name) for name in linalg.__all__}
+        returning = {
+            name for name, f in public.items()
+            if getattr(f, "__annotations__", {}).get("return") == "Matrix"
+        }
+        assert returning == set(results)
+        for name, mat in results.items():
+            assert type(mat) is tuple and mat, name
+            assert all(type(row) is tuple for row in mat), name
 
 
 class TestRankF2:

@@ -8,6 +8,7 @@ import pytest
 from webfoam.errors import InternalConsistencyError
 from webfoam.laurent import ONE, P, ZERO
 from webfoam import acceptance, linalg, operators, webs
+from webfoam.homology import cone_of_p, linked_handcuffs_model
 from webfoam.operators import (
     OperatorModule,
     _check_projections,
@@ -17,11 +18,11 @@ from webfoam.operators import (
     unknot_module,
 )
 
-UNKNOT_MATRIX = [
-    [ZERO, ZERO, ZERO],
-    [ONE, ZERO, P],
-    [ZERO, ONE, ZERO],
-]
+UNKNOT_MATRIX = (
+    (ZERO, ZERO, ZERO),
+    (ONE, ZERO, P),
+    (ZERO, ONE, ZERO),
+)
 
 
 def unknot_direct_sum() -> OperatorModule:
@@ -29,7 +30,7 @@ def unknot_direct_sum() -> OperatorModule:
     zero = linalg.zeros(3, 3)
 
     def block(top, bottom):
-        return [row + [ZERO] * 3 for row in top] + [[ZERO] * 3 + row for row in bottom]
+        return [row + (ZERO,) * 3 for row in top] + [(ZERO,) * 3 + row for row in bottom]
 
     return OperatorModule(
         basis_labels=tuple(range(6)),
@@ -200,7 +201,7 @@ class TestImages:
 
     def test_unknot_image_is_pinned(self):
         assert unknot_module().images == {
-            "e": [[P, ZERO, ZERO], [ZERO, ZERO, ZERO], [ONE, ZERO, ZERO]]
+            "e": ((P, ZERO, ZERO), (ZERO, ZERO, ZERO), (ONE, ZERO, ZERO))
         }
 
     @pytest.mark.parametrize("model", sorted(MODELS))
@@ -281,6 +282,26 @@ class TestKernelForm:
         assert webs.count_tait_matching_formula(web) == tait
 
 
+class TestImmutability:
+    """Model matrices are tuples, and the operator maps are read-only."""
+
+    def test_assignments_raise_and_leave_the_cached_model(self):
+        theta = theta_module()
+        for mapping in (theta.operators, theta.images):
+            with pytest.raises(TypeError):
+                mapping["e1"][0][0] = ONE
+            with pytest.raises(TypeError):
+                mapping["e1"] = linalg.zeros(6, 6)
+        with pytest.raises(TypeError):
+            cone_of_p().differential[0][0] = ONE
+        with pytest.raises(TypeError):
+            linked_handcuffs_model().two_term[0][0] = ONE
+        assert theta_module() is theta
+        fresh = theta_module.__wrapped__()
+        assert theta == fresh and theta.images == fresh.images
+        assert theta.relations == check_vertex_relations(theta)
+
+
 class TestGuards:
     def test_all_equal_triple_rejected(self):
         with pytest.raises(ValueError, match="cannot account"):
@@ -311,7 +332,7 @@ class TestGuards:
             )
 
     def test_constructor_rejects_broken_cubic_relation(self):
-        broken = [row[:] for row in UNKNOT_MATRIX]
+        broken = [list(row) for row in UNKNOT_MATRIX]
         broken[0][0] = ONE
         with pytest.raises(InternalConsistencyError, match="violate e\\^3"):
             OperatorModule(basis_labels=(0, 1, 2), operators={"e": broken})
@@ -329,7 +350,7 @@ class TestGuards:
         """The theta model's fields with one entry of e2 changed, built
         without the constructor, which would reject it."""
         theta = theta_module()
-        ops = {name: [row[:] for row in mat] for name, mat in theta.operators.items()}
+        ops = {name: [list(r) for r in mat] for name, mat in theta.operators.items()}
         ops["e2"][0][0] = ops["e2"][0][0] + ONE
         p_ident = linalg.mat_scale(P, linalg.identity(theta.rank))
         return SimpleNamespace(
