@@ -278,8 +278,9 @@ class TestAdversarialInputs:
     MEMORY_LIMIT = 400 * 2**20
 
     @staticmethod
-    def prism_file(tmp_path, n: int = 400) -> Path:
-        """The prism C_n x K2: n squares in a ring, 3n edges."""
+    def prism_file(tmp_path) -> Path:
+        """The prism C_400 x K2: 800 vertices and 1,200 edges, a 55 KB file."""
+        n = 400
         edges = [
             {"id": f"{kind}{i}", "ends": ends}
             for i in range(n)
@@ -459,8 +460,8 @@ class TestAdversarialInputs:
         assert proc.stderr == f"error: {path}: too large for the exact counters\n"
 
     def test_out_of_memory_exit_code(self, tmp_path):
-        # the census lists all 2^400 + 8 1-sets of the prism C_400 x K2, so
-        # the child's address space runs out within seconds
+        # the census lists every 1-set of the prism C_400 x K2 (L_400 + 2 of
+        # them, L_n the Lucas numbers), so the child runs out within seconds
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (self.MEMORY_LIMIT,) * 2)
 
