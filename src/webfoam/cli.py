@@ -243,7 +243,8 @@ def _cmd_web(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
             mf = webs.count_tait_matching_formula(web)
             if bt != mf:
                 raise InternalConsistencyError(
-                    f"backtracking count {bt} != matching-formula count {mf}"
+                    f"web {web.name!r}: backtracking count {bt} "
+                    f"!= matching-formula count {mf}"
                 )
             return EXIT_OK, {"web": web.name, "tait_colorings": bt}, [str(bt)]
         # predict-rank

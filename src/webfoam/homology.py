@@ -27,7 +27,7 @@ produces random square-zero modules for the property suites.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -86,34 +86,34 @@ class SpecializationReport:
         }
 
 
+@dataclass(frozen=True, eq=False)
 class DifferentialModule:
     """Free module over the Laurent ring with a square-zero endomorphism.
 
-    The matrices are tuples of tuple rows.  The exact (Bareiss) rank
-    of the differential is computed once, on the first
-    :meth:`frac_rank` request, and the randomized GF(2^16) cross-check
-    runs once for each distinct seed passed to :meth:`frac_rank`.
-    ``two_term``, when set, is the map ``a: R^(rank - len(a)) -> R^len(a)``
-    whose mapping cone is the differential (:meth:`from_map`).
+    The constructor stores both matrices as tuples of tuple rows, and
+    the attributes cannot be rebound.  The exact (Bareiss) rank of the
+    differential is computed once, on the first :meth:`frac_rank`
+    request, and the randomized GF(2^16) cross-check runs once for each
+    distinct seed passed to :meth:`frac_rank`.  ``two_term``, when set,
+    is the map ``a: R^(rank - len(a)) -> R^len(a)`` whose mapping cone is
+    the differential (:meth:`from_map`).
     """
 
-    __slots__ = ("differential", "two_term", "_exact_rank", "_checked_seeds")
+    differential: Matrix
+    two_term: Matrix | None = None
+    # seed -> the exact rank of the differential, cross-checked at that seed
+    _ranks: dict[int, int] = field(init=False, default_factory=dict, repr=False)
 
-    def __init__(
-        self,
-        differential: Sequence[Sequence[LaurentPoly]],
-        two_term: Sequence[Sequence[LaurentPoly]] | None = None,
-    ):
-        d = tuple(map(tuple, differential))
+    def __post_init__(self):
+        d = tuple(map(tuple, self.differential))
         n = len(d)
         if any(len(row) != n for row in d):
             raise ValidationError(f"differential must be {n}x{n}")
         if not linalg.is_zero_matrix(linalg.mat_mul(d, d)):
             raise ValidationError("differential does not square to zero")
-        self.differential = d
-        self.two_term = None if two_term is None else tuple(map(tuple, two_term))
-        self._exact_rank: int | None = None
-        self._checked_seeds: set[int] = set()
+        object.__setattr__(self, "differential", d)
+        if self.two_term is not None:
+            object.__setattr__(self, "two_term", tuple(map(tuple, self.two_term)))
 
     @classmethod
     def from_map(cls, a: Sequence[Sequence[LaurentPoly]]) -> "DifferentialModule":
@@ -133,20 +133,20 @@ class DifferentialModule:
         randomized route (they must agree).  The exact rank is memoized;
         a seed not seen before re-runs only the randomized route.
         """
-        if self._exact_rank is None:
+        ranks = self._ranks
+        if not ranks:
             # d*d = 0 (checked on construction) bounds rank(d) by rank // 2
-            self._exact_rank = linalg.fraction_rank(
+            ranks[seed] = linalg.fraction_rank(
                 self.differential, seed=seed, max_rank=self.rank // 2
             )
-        elif seed not in self._checked_seeds:
+        elif seed not in ranks:
+            exact = next(iter(ranks.values()))
             randomized = linalg.rank_frac_randomized(
                 self.differential, random.Random(seed)
             )
-            linalg.check_rank_agreement(
-                self._exact_rank, randomized, seed, (self.rank, self.rank)
-            )
-        self._checked_seeds.add(seed)
-        return self.rank - 2 * self._exact_rank
+            linalg.check_rank_agreement(exact, randomized, seed, (self.rank, self.rank))
+            ranks[seed] = exact
+        return self.rank - 2 * ranks[seed]
 
     def two_term_ranks(self, seed: int = 0) -> tuple[int, int]:
         """(kernel rank, cokernel rank) of the underlying map over Frac(R).

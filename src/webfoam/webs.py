@@ -4,7 +4,8 @@ A web is stored abstractly (no spatial embedding): vertices are named,
 and each edge is a regular edge between two distinct vertices, a loop at
 a single vertex (counting twice toward its valence), or a free circle
 with no endpoints.  Webs with no vertices at all (disjoint circles) are
-valid.  Each public call compiles its web once into an integer graph.
+valid.  Each web is compiled to integers once, in its constructor, and
+every public call reads that compiled form.
 
 The module provides
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import functools
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -76,24 +77,38 @@ class Edge:
         return ("circle", "loop", "edge")[len(self.ends)]
 
 
+_Incidences = tuple[tuple[tuple[int, int], ...], ...]
+
+
 @dataclass(frozen=True)
 class Web:
-    """A trivalent multigraph, possibly with loops and free circles."""
+    """A trivalent multigraph, possibly with loops and free circles.
+
+    The constructor checks names and edge ends but not valences, so an
+    instance may be non-trivalent until :meth:`validate` is called.  It
+    also compiles the web to integers once: vertex ``i`` is
+    ``vertices[i]``, edge ``j`` is ``edges[j]``, and ``_incidences[i]``
+    lists the ``(edge, other end)`` pairs at vertex ``i`` in edge order,
+    a loop twice.
+    """
 
     name: str
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     planar: bool | None = None
+    _incidences: _Incidences = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = Counter(e.id for e in self.edges)
         if len(ids) != len(self.edges):
             dup = sorted(i for i, n in ids.items() if n > 1)
             raise ValidationError(f"duplicate edge ids: {', '.join(dup)}")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValidationError("duplicate vertex names")
-        known = set(self.vertices)
-        for e in self.edges:
+        index = {v: i for i, v in enumerate(self.vertices)}
+        if len(index) != len(self.vertices):
+            dup = sorted(v for v, n in Counter(self.vertices).items() if n > 1)
+            raise ValidationError(f"duplicate vertex names: {', '.join(dup)}")
+        inc: list[list[tuple[int, int]]] = [[] for _ in index]
+        for j, e in enumerate(self.edges):
             if len(e.ends) > 2:
                 raise ValidationError(f"edge {e.id!r} has more than two ends")
             if len(e.ends) == 2 and e.ends[0] == e.ends[1]:
@@ -101,12 +116,23 @@ class Web:
                     f"edge {e.id!r}: equal endpoints must use the loop form"
                 )
             for v in e.ends:
-                if v not in known:
+                if v not in index:
                     raise ValidationError(f"edge {e.id!r} meets unknown vertex {v!r}")
+            if e.ends:
+                a, b = index[e.ends[0]], index[e.ends[-1]]
+                inc[a].append((j, b))
+                inc[b].append((j, a))
+        object.__setattr__(self, "_incidences", tuple(map(tuple, inc)))
 
     def validate(self) -> "Web":
         """Check trivalence at every vertex; report all offenders at once."""
-        _trivalent(self)
+        bad = [
+            f"vertex {v!r} has valence {len(at)}"
+            for v, at in zip(self.vertices, self._incidences)
+            if len(at) != 3
+        ]
+        if bad:
+            raise ValidationError("; ".join(bad))
         return self
 
     @property
@@ -118,65 +144,22 @@ class Web:
         return tuple(e for e in self.edges if e.kind == "loop")
 
 
-_Incidences = list[list[tuple[int, int]]]
-
-
-class _Graph:
-    """A web compiled to integers, built once per public call and never kept.
-
-    Vertex ``i`` is ``web.vertices[i]`` and edge ``j`` is ``web.edges[j]``.
-    ``inc[i]`` lists the ``(edge, other end)`` pairs at vertex ``i`` in edge
-    order, a loop twice; ``loops`` and ``circles`` count those edges.
-    """
-
-    __slots__ = ("inc", "loops", "circles")
-
-    def __init__(self, web: Web):
-        index = {v: i for i, v in enumerate(web.vertices)}
-        inc: _Incidences = [[] for _ in index]
-        loops = circles = 0
-        for j, e in enumerate(web.edges):
-            ends = e.ends
-            if not ends:
-                circles += 1
-                continue
-            a, b = index[ends[0]], index[ends[-1]]
-            inc[a].append((j, b))
-            inc[b].append((j, a))
-            loops += a == b
-        self.inc, self.loops, self.circles = inc, loops, circles
-
-    def parts(self) -> list[list[int]]:
-        """Each connected component as a vertex list, from one breadth-first
-        pass: roots in vertex order, neighbours in incidence order."""
-        inc = self.inc
-        seen = [False] * len(inc)
-        parts = []
-        for root in range(len(inc)):
-            if not seen[root]:
-                seen[root] = True
-                part = [root]
-                for v in part:
-                    for _, w in inc[v]:
-                        if not seen[w]:
-                            seen[w] = True
-                            part.append(w)
-                parts.append(part)
-        return parts
-
-
-def _trivalent(web: Web) -> _Graph:
-    """The compiled graph of ``web``, which must be trivalent: any other web
-    raises one ``ValidationError`` naming every offender in vertex order."""
-    graph = _Graph(web)
-    bad = [
-        f"vertex {v!r} has valence {len(at)}"
-        for v, at in zip(web.vertices, graph.inc)
-        if len(at) != 3
-    ]
-    if bad:
-        raise ValidationError("; ".join(bad))
-    return graph
+def _parts(inc: _Incidences) -> list[list[int]]:
+    """Each connected component as a vertex list, from one breadth-first
+    pass: roots in vertex order, neighbours in incidence order."""
+    seen = [False] * len(inc)
+    parts = []
+    for root in range(len(inc)):
+        if not seen[root]:
+            seen[root] = True
+            part = [root]
+            for v in part:
+                for _, w in inc[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        part.append(w)
+            parts.append(part)
+    return parts
 
 
 def one_sets(web: Web) -> list[frozenset[str]]:
@@ -191,10 +174,10 @@ def one_sets(web: Web) -> list[frozenset[str]]:
     order of each component, so a vertex left without partners shows early.
     A loop leads back to its own vertex, so both the order and the search skip it.
     """
-    graph = _trivalent(web)
-    order = [v for part in graph.parts() for v in part]
+    inc = web.validate()._incidences
+    order = [v for part in _parts(inc) for v in part]
     ids = [e.id for e in web.edges]
-    return [frozenset(ids[j] for j in s) for s in _one_sets(graph.inc, order)]
+    return [frozenset(ids[j] for j in s) for s in _one_sets(inc, order)]
 
 
 def _one_sets(inc: _Incidences, order: list[int]) -> list[tuple[int, ...]]:
@@ -232,15 +215,15 @@ def complement_cycles(web: Web, s: Iterable[str]) -> list[int]:
     vertex in ``web.vertices``; free circles are left out.  The web must be
     trivalent: any other web raises its valence ``ValidationError`` first.
     """
-    graph = _trivalent(web)
+    inc = web.validate()._incidences
     s = frozenset(s)
     index = {e.id: j for j, e in enumerate(web.edges)}
     if not s <= index.keys():
         raise ValidationError(f"unknown edge ids: {sorted(s - index.keys())}")
     chosen = {index[i] for i in s}
-    if any(sum(j in chosen for j, _ in at) != 1 for at in graph.inc):
+    if any(sum(j in chosen for j, _ in at) != 1 for at in inc):
         raise ValidationError("edge subset is not a 1-set")
-    return _cycle_lengths(graph.inc, range(len(graph.inc)), chosen)
+    return _cycle_lengths(inc, range(len(inc)), chosen)
 
 
 def _cycle_lengths(inc: _Incidences, vertices: Iterable[int], s: set[int]) -> list[int]:
@@ -278,12 +261,12 @@ def count_tait_backtracking(web: Web) -> int:
     free circles are unconstrained and contribute a factor of 3 each.
     Each component is searched alone and the counts multiply.
     """
-    graph = _trivalent(web)
-    if graph.loops:
+    inc = web.validate()._incidences
+    if web.loops:
         return 0
-    total = 3**graph.circles
-    for part in graph.parts():
-        total *= _count_colorings(graph.inc, part)
+    total = 3 ** len(web.circles)
+    for part in _parts(inc):
+        total *= _count_colorings(inc, part)
     return total
 
 
@@ -337,10 +320,10 @@ def one_set_census(web: Web) -> tuple[int, int, int]:
     cycle even either way (a factor 2 on the even ones), and outside the
     1-set is one more complementary cycle, so it weighs 1 + 2 = 3 in the sum.
     """
-    graph = _trivalent(web)
-    inc, circles = graph.inc, graph.circles
+    inc = web.validate()._incidences
+    circles = len(web.circles)
     ones, even, weighted = 2**circles, 2**circles, 3**circles
-    for part in graph.parts():
+    for part in _parts(inc):
         cycles = [_cycle_lengths(inc, part, set(s)) for s in _one_sets(inc, part)]
         even_cycles = [c for c in cycles if is_even(c)]
         ones *= len(cycles)
@@ -362,7 +345,7 @@ def is_abstract_planar(web: Web) -> bool:
     its blocks (biconnected components) is, and each block is tested by
     path addition (:func:`_planar_block`).
     """
-    inc = _Graph(web).inc
+    inc = web._incidences
     adj = [dict.fromkeys(w for _, w in at if w != v) for v, at in enumerate(inc)]
     return all(_planar_block(block) for block in _blocks(adj))
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import webfoam
+from webfoam import webs
 from webfoam.cli import main
 from webfoam.homology import cone_of_p, complex_to_dict
 from webfoam.laurent import LaurentPoly
@@ -121,6 +122,24 @@ class TestWeb:
         code, _, err = run(capsys, "web", "info", str(path))
         assert code == 4
         assert "'v' has valence 2" in err
+
+    def test_duplicate_vertex_names_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        data = web_to_dict(corpus_web("theta"))
+        data["vertices"] = ["b", "b"]
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "web", "info", str(path))
+        assert (code, out) == (3, "")
+        assert "duplicate vertex names: b" in err
+
+    def test_counter_disagreement_names_the_web(self, capsys, monkeypatch):
+        monkeypatch.setattr(webs, "count_tait_matching_formula", lambda web: 7)
+        code, out, err = run(capsys, "web", "tait", "theta")
+        assert (code, out) == (5, "")
+        assert err == (
+            "internal consistency failure: web 'theta': "
+            "backtracking count 6 != matching-formula count 7\n"
+        )
 
     def test_unknown_corpus_name(self, capsys):
         code, _, err = run(capsys, "web", "tait", "moebius")

@@ -1,5 +1,6 @@
 """Differential modules: ranks, specializations, torsion, models, JSON."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -127,6 +128,18 @@ class TestRankMemo:
             module = random_complex(k, 2 + k)
             module.frac_rank()
         assert bounds == [(2 + k) // 2 for k in range(5)]
+
+    def test_rebinding_raises_and_keeps_the_memo_valid(self):
+        module = cone_of_p()
+        assert module.frac_rank() == 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            module.differential = linalg.zeros(4, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            module.two_term = linalg.zeros(2, 2)
+        fresh = cone_of_p()
+        assert module.frac_rank() == fresh.frac_rank()
+        assert module.f2_dim() == fresh.f2_dim()
+        assert module.two_term == fresh.two_term
 
     def test_fresh_seed_is_still_cross_checked(self, monkeypatch):
         module = cone_of_p()

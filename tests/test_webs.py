@@ -75,6 +75,24 @@ class TestValidation:
         with pytest.raises(ValidationError, match="duplicate edge ids: a, z$"):
             Web("bad", (), tuple(edges))
 
+    def test_duplicate_vertex_names_rejected(self):
+        with pytest.raises(ValidationError, match="duplicate vertex names: a, z$"):
+            Web("bad", ("z", "a", "z", "m", "a"), ())
+
+    def test_compiled_incidences_leave_value_semantics_alone(self):
+        again = Web(THETA.name, THETA.vertices, THETA.edges, THETA.planar)
+        assert again == THETA and hash(again) == hash(THETA)
+        assert repr(again) == repr(THETA)
+        assert "_incidences" not in repr(THETA)
+
+    def test_compiled_incidences_are_tuples_with_a_loop_twice(self):
+        # vertex a: loop l1 (edge 0) twice, then c (edge 1) to b; a tuple
+        # never equals a list, so this also checks the nesting is all tuples
+        assert HANDCUFFS._incidences == (
+            ((0, 0), (0, 0), (1, 1)),
+            ((1, 0), (2, 1), (2, 1)),
+        )
+
     def test_regular_edge_needs_distinct_ends(self):
         with pytest.raises(ValidationError, match="loop form"):
             Web("bad", ("a",), (Edge("e", ("a", "a")),))
@@ -387,7 +405,7 @@ class TestTaitCounts:
         # vertices of a theta (b), K4 (a) and handcuffs (h) interleaved, edges
         # out of vertex order, circles between them
         web = interleaved_web()
-        parts = webs._Graph(web).parts()
+        parts = webs._parts(web._incidences)
         assert [[web.vertices[v] for v in part] for part in parts] == [
             ["b1", "b2"], ["a1", "a2", "a3", "a4"], ["h1", "h2"]
         ]
