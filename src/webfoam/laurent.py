@@ -82,11 +82,10 @@ class LaurentPoly:
     True
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[Triple] = ()):
         self.terms: frozenset[Triple] = frozenset(terms)
-        self._hash: int | None = None
 
     # -- constructors ------------------------------------------------
 
@@ -164,15 +163,10 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.terms)
-        return self._hash
+        return hash(self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     # -- inspection ---------------------------------------------------
 
@@ -307,6 +301,7 @@ def leading_form(p: LaurentPoly) -> tuple[int | float, LaurentPoly]:
         return math.inf, ZERO
     lo, _ = p.exponent_range()
     shifted = p.shifted(-lo[0], -lo[1], -lo[2])
+    # T_i -> 1 + eps_i is invertible, so a nonzero p leaves acc nonempty.
     acc: set[Triple] = set()
     for (a1, a2, a3) in shifted.terms:
         # (1+eps)^a = sum over bitwise submasks k of a of eps^k (Lucas).
@@ -314,8 +309,6 @@ def leading_form(p: LaurentPoly) -> tuple[int | float, LaurentPoly]:
             for k2 in _submasks(a2):
                 for k3 in _submasks(a3):
                     acc ^= {(k1, k2, k3)}
-    if not acc:
-        return math.inf, ZERO
     order = min(k1 + k2 + k3 for (k1, k2, k3) in acc)
     return order, LaurentPoly(t for t in acc if sum(t) == order)
 

@@ -430,8 +430,11 @@ def _eval_poly_gf16(p: LaurentPoly, logs: tuple[int, int, int]) -> int:
 
 
 def _rank_gf16(m: list[list[int]]) -> int:
-    if not m:
-        return 0
+    """Rank of a nonempty matrix over GF(2^16), reduced in place.
+
+    Only the pivot count is read, so each pivot clears the rows below it
+    (row echelon form) and its row is not normalized.
+    """
     cols = len(m[0])
     rank = 0
     for c in range(cols):
@@ -440,10 +443,9 @@ def _rank_gf16(m: list[list[int]]) -> int:
             continue
         m[rank], m[pr] = m[pr], m[rank]
         inv = gf16_inv(m[rank][c])
-        m[rank] = [gf16_mul(inv, x) for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c]:
-                f = m[i][c]
+        for i in range(rank + 1, len(m)):
+            if m[i][c]:
+                f = gf16_mul(inv, m[i][c])
                 m[i] = [x ^ gf16_mul(f, y) for x, y in zip(m[i], m[rank])]
         rank += 1
         if rank == len(m):

@@ -408,11 +408,9 @@ def _planar_block(edges: list[tuple[int, int]]) -> bool:
     for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    n, m = len(adj), len(edges)
+    m = len(edges)
     if m < 9:  # K3,3 is the smallest non-planar graph
         return True
-    if m > 3 * n - 6:  # Euler's bound for simple planar graphs
-        return False
     faces = [list(edges[0])]
     placed = set(edges[0])
     used = {frozenset(edges[0])}
@@ -628,9 +626,7 @@ def load_web(path: str | Path) -> Web:
 
 def corpus_dir() -> Path:
     """Directory holding the shipped corpus of named webs."""
-    from importlib import resources
-
-    return Path(str(resources.files("webfoam").joinpath("corpus")))
+    return Path(__file__).with_name("corpus")
 
 
 def corpus_names() -> list[str]:
@@ -815,8 +811,11 @@ def _next_vertex(state: _State) -> int:
 def _completions(state: _State, v: int) -> Iterator[_State]:
     """Children of ``state`` completing ``v``, isolated partners restricted.
 
-    Only the first ``deficit`` isolated vertices are offered, and their
-    multiplicities must not increase along them.
+    ``v`` must be a vertex that :func:`_next_vertex` picks: a deficient
+    vertex of largest degree, so every partner has room for the whole
+    deficit.  Only the first ``deficit`` isolated vertices are offered,
+    and their multiplicities must not increase along them.  The loop at
+    ``v``, when it fits, is offered first.
     """
     deg = state.deg
     n = len(deg)
@@ -825,26 +824,24 @@ def _completions(state: _State, v: int) -> Iterator[_State]:
     partners = [u for u in range(n) if u != v and 0 < deg[u] < 3] + isolated
     bound = {u: prev for prev, u in zip(isolated, isolated[1:])}
 
-    def choose(remaining: int, start: int, counts: dict[int, int], used_loop: bool):
+    def choose(remaining: int, start: int, counts: dict[int, int], add_loop: bool):
         if remaining == 0:
-            yield state.with_completion(v, used_loop, counts)
+            yield state.with_completion(v, add_loop, counts)
             return
-        if not used_loop and not counts and state.loops[v] == 0 and remaining >= 2:
-            yield from choose(remaining - 2, 0, counts, True)
         for k in range(start, len(partners)):
             u = partners[k]
             already = counts.get(u, 0)
-            if already >= 3 - deg[u]:
-                continue
             if u in bound and already >= counts.get(bound[u], 0):
                 continue
             counts[u] = already + 1
-            yield from choose(remaining - 1, k, counts, used_loop)
+            yield from choose(remaining - 1, k, counts, add_loop)
             if already:
                 counts[u] = already
             else:
                 del counts[u]
 
+    if deficit >= 2:  # deg[v] <= 1, so v has no loop yet
+        yield from choose(deficit - 2, 0, {}, True)
     yield from choose(deficit, 0, {}, False)
 
 

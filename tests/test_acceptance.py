@@ -8,12 +8,13 @@ its wall-clock budget.  All comparisons inside the checks are exact.
 import itertools
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from webfoam import acceptance, foams, linalg, operators
+from webfoam import acceptance, foams, linalg, operators, webs
 from webfoam.cli import EXIT_INTERNAL, main
-from webfoam.errors import InternalConsistencyError
+from webfoam.errors import InputError, InternalConsistencyError
 from webfoam.laurent import ONE
 
 CRITERIA = [
@@ -102,6 +103,50 @@ def test_internal_error_becomes_a_fail_row(monkeypatch, capsys):
     assert lines[2].startswith("PASS  unknot-model")
     assert lines[3] == "FAILURES"
     assert "rank routes disagree" in err
+
+
+def test_input_error_becomes_a_fail_row(monkeypatch, capsys):
+    def rejecting(ctx):
+        raise InputError("x.json: $: expected a JSON object")
+
+    monkeypatch.setitem(acceptance.CHECKS, "order4-certificate", (rejecting, 1.0))
+    keys = ["cone-p", "order4-certificate", "unknot-model"]
+    code = main(["verify-all", "--only", ",".join(keys)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line[:4] for line in lines[:3]] == ["PASS", "FAIL", "PASS"]
+    assert lines[1] == (
+        "FAIL  order4-certificate  invalid input: x.json: $: expected a JSON object"
+    )
+    assert lines[3:] == ["FAILURES"]
+
+
+@pytest.mark.parametrize("failures", [[], ["wrong"]])
+def test_budget_overrun_fails_the_check(monkeypatch, failures):
+    # a fake clock reads 2.5 s for a check with a 1 s budget; a passing
+    # check fails with the overrun, a failing one keeps its failures
+    monkeypatch.setattr(
+        acceptance, "time", SimpleNamespace(perf_counter=iter([10.0, 12.5]).__next__)
+    )
+    monkeypatch.setitem(acceptance.CHECKS, "cone-p", (lambda ctx: (failures, "ok"), 1.0))
+    (result,) = acceptance.run_all(["cone-p"])
+    assert (result.passed, result.seconds, result.budget) == (False, 2.5, 1.0)
+    if failures:
+        assert result.detail == "wrong"
+    else:
+        assert result.detail == "ok; exceeded the 1s budget (2.5s)"
+
+
+def test_generated_graph_disagreement_is_named(monkeypatch):
+    count = webs.count_tait_matching_formula
+    monkeypatch.setattr(
+        webs,
+        "count_tait_matching_formula",
+        lambda web: count(web) + (web.name == "cubic4-1"),
+    )
+    failures, _ = acceptance.check_tait_formula(acceptance.CheckContext())
+    assert failures == ["cubic4-1: backtracking 12 != formula 13"]
 
 
 def theta_wrong_on(monkeypatch, bad):

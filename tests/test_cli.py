@@ -276,6 +276,23 @@ class TestComplex:
         assert (code, out) == (3, "")
         assert "rank: expected a nonnegative integer" in err
 
+    @pytest.mark.parametrize(
+        "rank, differential, r",
+        [(0, [], 0), (1, [["0"]], 1)],
+        ids=["rank-0", "rank-1-zero"],
+    )
+    def test_zero_complex_is_pinned(self, capsys, tmp_path, rank, differential, r):
+        # the rank-0 file reaches the randomized rank's empty-matrix guard
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"rank": rank, "differential": differential}))
+        code, out, err = run(capsys, "complex", "analyze", str(path))
+        assert (code, err) == (0, "")
+        assert out == (
+            f"complex: zero.json\nrank: {rank}\nfrac_rank: {rank}\nf2_dim: {rank}\n"
+            f"direction 1,1,1: r={r} l=0 torsion={{}}\n"
+            f"direction 1,1,0: r={r} l=0 torsion={{}}\n"
+        )
+
     def test_huge_exponent_is_rejected_quickly(self, tmp_path):
         # line substitution of T1^(2^30 - 1) would run for minutes, so the
         # parser rejects the entry; the time limit catches a regression
@@ -593,6 +610,62 @@ class TestVerifyAll:
             capsys, "verify-all", "--only", "cone-p", "--corpus", "/no/such/dir"
         )
         assert code == 3
+
+
+WEB_INFO, ANALYZE = ("web", "info"), ("complex", "analyze")
+
+MALFORMED = [
+    # (argv, file text or None, exit code, stderr line; for a file the
+    # line follows "error: <path>: ")
+    (WEB_INFO, "[]", 3, "$: expected a JSON object"),
+    (WEB_INFO, '{"name": 1}', 3, "name: expected a string"),
+    (WEB_INFO, '{"edges": {}}', 3, "edges: expected a list"),
+    (WEB_INFO, '{"edges": [1]}', 3, "edges[0]: expected an object"),
+    (WEB_INFO, '{"edges": [{"id": 2}]}', 3, "edges[0]: missing or non-string 'id'"),
+    (
+        WEB_INFO,
+        '{"vertices": ["a"], "edges": [{"id": "l", "loop": 1}]}',
+        3,
+        "edges[0]: 'loop' must be a vertex name",
+    ),
+    (ANALYZE, "[]", 3, "$: expected a JSON object"),
+    (
+        ANALYZE,
+        '{"rank": 1, "differential": [["0", "0"]]}',
+        3,
+        "differential[0]: expected a list of 1 entries",
+    ),
+    (ANALYZE, '{"rank": 1, "differential": [[0]]}', 3, "differential[0][0]: expected a string"),
+    (
+        ("complex", "cone-p", "--direction", "a,b"),
+        None,
+        2,
+        "webfoam complex cone-p: error: argument --direction: "
+        "direction must be 1,1,1 or 1,1,0, got 'a,b'",
+    ),
+    (
+        ("foam", "sphere", "-1"),
+        None,
+        2,
+        "webfoam foam sphere: error: argument dots: dot counts must be nonnegative",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text, code, line", MALFORMED)
+def test_malformed_input_exit_code(capsys, tmp_path, argv, text, code, line):
+    # the exit code and the exact stderr line (after argparse's usage)
+    if text is None:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        got, (out, err) = exc.value.code, capsys.readouterr()
+        assert err.endswith(f"\n{line}\n")
+    else:
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        got, out, err = run(capsys, *argv, str(path))
+        assert err == f"error: {path}: {line}\n"
+    assert (got, out) == (code, "")
 
 
 CLI_OUTPUTS = json.loads((DATA / "cli_outputs.json").read_text())

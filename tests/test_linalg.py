@@ -79,6 +79,35 @@ def eval_reference(p: LaurentPoly, point: tuple[int, int, int]) -> int:
     return acc
 
 
+def rank_gf16_reference(rows: list[list[int]]) -> int:
+    """Rank over GF(2^16) by Gauss-Jordan elimination on the bit loop."""
+    m = [list(row) for row in rows]
+    rank = 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = gf16_pow_reference(m[rank][c], (1 << 16) - 2)
+        m[rank] = [gf16_mul_reference(inv, x) for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [x ^ gf16_mul_reference(f, y) for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def gf16_product_reference(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            acc = [s ^ gf16_mul_reference(x, y) for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
 class TestGF16:
     @staticmethod
     def pow_mod(base, n, mod):
@@ -140,6 +169,31 @@ class TestGF16:
             point = tuple(gf16_pow_reference(0b10, l) for l in logs)
             p = random_poly(rng, 5, 4096)
             assert linalg._eval_poly_gf16(p, logs) == eval_reference(p, point)
+
+    @pytest.mark.parametrize(
+        "rows, cols, inner",
+        [(9, 4, None), (4, 9, None), (6, 6, None), (8, 7, 3), (5, 10, 2), (7, 7, 6)],
+        ids=["tall", "wide", "square", "tall-rank-3", "wide-rank-2", "square-rank-6"],
+    )
+    def test_rank_matches_the_reference_elimination(self, rng, rows, cols, inner):
+        # echelon form in place gives the pivot count of a full Gauss-Jordan
+        # reduction; a product through ``inner`` columns has rank at most that
+        for _ in range(20):
+            if inner is None:
+                density = rng.choice([0.3, 0.7, 1.0])
+                m = [
+                    [rng.randrange(1, 1 << 16) if rng.random() < density else 0
+                     for _ in range(cols)]
+                    for _ in range(rows)
+                ]
+            else:
+                a = [[rng.randrange(1 << 16) for _ in range(inner)] for _ in range(rows)]
+                b = [[rng.randrange(1 << 16) for _ in range(cols)] for _ in range(inner)]
+                m = gf16_product_reference(a, b)
+            expected = rank_gf16_reference(m)
+            assert linalg._rank_gf16([list(row) for row in m]) == expected
+            if inner is not None:
+                assert expected == inner
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_suite_matrices_evaluate_as_the_reference(self, seed, monkeypatch):
