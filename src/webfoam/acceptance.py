@@ -6,9 +6,11 @@ the verdict and the budget: a check passes when it reports no failure
 and stays within its wall-clock budget, and its detail is the summary,
 or else the failures joined by ``"; "``.  A check that raises
 :class:`~webfoam.errors.InternalConsistencyError` becomes a failing
-result carrying the exception text, and the remaining checks still run.
-An ``InputError`` or ``ValidationError`` fails its check the same way,
-as an ordinary failure.  The Tait check records each bad corpus file as
+result carrying the exception text, and the remaining checks still run;
+so does any other exception a check raises, named by its type, except
+``MemoryError``, which ends the run.  An ``InputError`` or
+``ValidationError`` fails its check the same way, as an ordinary
+failure.  The Tait check records each bad corpus file as
 ``<file name>: <message>`` and goes on with the other webs.
 
 The same checks back the acceptance test module, so the CLI table and
@@ -52,7 +54,8 @@ class CheckResult:
     detail: str
     seconds: float
     budget: float
-    #: The check raised InternalConsistencyError; ``detail`` holds its text.
+    #: The check raised InternalConsistencyError or another unexpected
+    #: exception; ``detail`` holds its text.
     internal_error: bool = False
 
     def to_dict(self) -> dict:
@@ -418,6 +421,11 @@ def run_all(
             internal_error = True
         except (InputError, ValidationError) as exc:
             passed, detail = False, f"invalid input: {exc}"
+        except MemoryError:
+            raise  # ends the run; the CLI maps it to exit 3
+        except Exception as exc:
+            passed, detail = False, f"internal error: {type(exc).__name__}: {exc}"
+            internal_error = True
         elapsed = time.perf_counter() - start
         if passed and elapsed > budget:
             passed = False

@@ -15,7 +15,10 @@ for fixed inputs and flags (the opt-in ``verify-all --timings`` column is
 the one exception); ``--json`` switches every subcommand to a
 machine-readable report.  Each handler computes through the library and
 returns its exit code, its report and its text lines; :func:`main` alone
-prints, the report as JSON under ``--json`` and the lines otherwise.
+writes stdout, the report as JSON under ``--json`` and the lines
+otherwise.  Two handlers write stderr lines themselves: ``web
+predict-rank`` its planarity warnings, and ``verify-all`` one line per
+check that failed internally.
 
 Exit codes: 0 success, 1 failed checks, 2 usage error, 3 malformed
 input (and running out of memory), 4 invalid web or complex, 5 internal

@@ -335,8 +335,6 @@ def poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if not a:
         return ZERO
     lo_b, hi_b = b.exponent_range()
-    if len(b.terms) == 1:  # a unit: division is a shift
-        return a.shifted(-lo_b[0], -lo_b[1], -lo_b[2])
     lo_a, hi_a = a.exponent_range()
     d1, d2 = hi_a[0] - lo_a[0] + 1, hi_a[1] - lo_a[1] + 1
     quot = kronecker_unpack(
@@ -495,14 +493,14 @@ def gf2_divexact(a: int, b: int) -> int:
             raise ValueError("inexact division in F2[t]")
         return a >> shift
     db = b.bit_length()
-    quot = []
+    quot = 0
     while a:
         shift = a.bit_length() - db
         if shift < 0:
             raise ValueError("inexact division in F2[t]")
-        quot.append(shift)
+        quot |= 1 << shift
         a ^= b << shift
-    return gf2_from_exponents(quot)
+    return quot
 
 
 def gf2_mul_one_plus_t_pow(a: int, s: int) -> int:

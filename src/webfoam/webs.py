@@ -409,8 +409,6 @@ def _planar_block(edges: list[tuple[int, int]]) -> bool:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     m = len(edges)
-    if m < 9:  # K3,3 is the smallest non-planar graph
-        return True
     faces = [list(edges[0])]
     placed = set(edges[0])
     used = {frozenset(edges[0])}

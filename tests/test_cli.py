@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import webfoam
-from webfoam import webs
+from webfoam import homology, webs
 from webfoam.cli import main
 from webfoam.homology import cone_of_p, complex_to_dict
 from webfoam.laurent import LaurentPoly
@@ -604,6 +604,22 @@ class TestVerifyAll:
         assert row.endswith("; zero.json: vertex 'a' has valence 0")
         assert row.count("broken.json") == row.count("zero.json") == 1
         assert str(tmp_path) not in row
+
+    def test_stray_exception_fails_only_its_check(self, capsys, monkeypatch):
+        def broken():
+            raise ValueError("inexact division in F2[t]")
+
+        monkeypatch.setattr(homology, "cone_of_p", broken)
+        only = "cone-p,unknot-model,order4-certificate"
+        code, out, err = run(capsys, "verify-all", "--only", only)
+        assert code == 5
+        detail = "internal error: ValueError: inexact division in F2[t]"
+        rows = out.splitlines()
+        assert rows[0] == f"FAIL  cone-p              {detail}"
+        assert rows[1].startswith("PASS  order4-certificate  ")
+        assert rows[2].startswith("PASS  unknot-model        ")
+        assert rows[3:] == ["FAILURES"]
+        assert err == f"cone-p: {detail}\n"
 
     def test_bad_corpus_dir(self, capsys):
         code, _, err = run(

@@ -151,6 +151,18 @@ class TestGF16:
         assert linalg._GF_EXP == exp
         assert linalg._GF_LOG == log
 
+    def test_tables_match_square_and_multiply(self, rng, monkeypatch):
+        # the build and gf16_tables_reference run the same recurrence, so
+        # sampled powers are also checked against an independent route
+        monkeypatch.setattr(linalg, "_GF_EXP", array("H"))
+        linalg._build_gf_tables()
+        order = (1 << 16) - 1
+        sample = [0, 1, 15, 16, order - 1] + [rng.randrange(order) for _ in range(200)]
+        for i in sample:
+            power = gf16_pow_reference(0b10, i)
+            assert linalg._GF_EXP[i] == linalg._GF_EXP[i + order] == power, i
+            assert linalg._GF_LOG[power] == i, i
+
     def test_field_inverses(self):
         for a in range(1, 1 << 16):
             assert gf16_mul_reference(a, gf16_inv(a)) == 1, a
