@@ -9,16 +9,17 @@ Subcommands mirror the library modules:
   -- differential-module analysis;
 * ``verify-all`` -- the full verification suite.
 
-Web and complex arguments are file paths; a bare name (``dodecahedron``)
-falls back to the shipped corpus.  Output is deterministic byte-for-byte
-for fixed inputs and flags (the opt-in ``verify-all --timings`` column is
-the one exception); ``--json`` switches every subcommand to a
-machine-readable report.  Each handler computes through the library and
-returns its exit code, its report and its text lines; :func:`main` alone
-writes stdout, the report as JSON under ``--json`` and the lines
-otherwise.  Two handlers write stderr lines themselves: ``web
-predict-rank`` its planarity warnings, and ``verify-all`` one line per
-check that failed internally.
+Web arguments are file paths; a bare name (``dodecahedron``) that is no
+file falls back to the shipped corpus.  The ``complex analyze`` argument
+is a file path only: there is no corpus of complexes.  Output is
+deterministic byte-for-byte for fixed inputs and flags (the opt-in
+``verify-all --timings`` column is the one exception); ``--json``
+switches every subcommand to a machine-readable report.  Each handler
+computes through the library and returns its exit code, its report and
+its text lines; :func:`main` alone writes stdout, the report as JSON
+under ``--json`` and the lines otherwise.  Two handlers write stderr
+lines themselves: ``web predict-rank`` its planarity warnings, and
+``verify-all`` one line per check that failed internally.
 
 Exit codes: 0 success, 1 failed checks, 2 usage error, 3 malformed
 input (and running out of memory), 4 invalid web or complex, 5 internal

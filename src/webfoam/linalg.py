@@ -13,7 +13,9 @@ entries; inputs may be any sequences of rows.  Everything here is exact:
   All field arithmetic goes through one pair of discrete-log tables:
   each point is held by the logs of its coordinates, so a monomial
   evaluates with one lookup, negative exponents included;
-* adjugates by cofactors, kept as an oracle independent of the kernel;
+* adjugates by cofactors, each a Bareiss determinant, kept as an oracle
+  independent of the Gauss-Jordan read-offs (``reduce_above``) behind
+  unimodular solves and null spaces;
 * the exponents of the Smith form over the local ring F2[t]_(t), for
   torsion analysis of specialized differentials.
 

@@ -30,6 +30,7 @@ The module provides
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -732,10 +733,10 @@ def _canonical_certificate(state: _State) -> tuple:
     the same multiplicity to every other vertex) is an automorphism, so a
     partition whose non-singleton cells all consist of twins encodes the
     same way in every order; the search stops there.  Otherwise it
-    individualizes one vertex per twin class of the smallest other
-    non-singleton cell in turn and keeps the least encoding.  The
-    encoding is the loops in canonical order and one integer per vertex
-    pair, ``4 * (n * i + j) + multiplicity`` for positions ``i < j``.
+    individualizes each vertex of the smallest other non-singleton cell
+    in turn and keeps the least encoding.  The encoding is the loops in
+    canonical order and one integer per vertex pair,
+    ``4 * (n * i + j) + multiplicity`` for positions ``i < j``.
     """
     loops, adj = state.loops, state.adj
     n = len(loops)
@@ -782,11 +783,7 @@ def _canonical_certificate(state: _State) -> tuple:
             return (tuple(loops[v] for v in order), tuple(code))
         target = colors[cell[0]]
         best = None
-        reps: list[int] = []
         for v in cell:
-            if any(twins(v, r) for r in reps):
-                continue
-            reps.append(v)
             branched = [c + 1 if c > target else c for c in colors]
             for u in cell:
                 if u != v:
@@ -813,34 +810,22 @@ def _completions(state: _State, v: int) -> Iterator[_State]:
     vertex of largest degree, so every partner has room for the whole
     deficit.  Only the first ``deficit`` isolated vertices are offered,
     and their multiplicities must not increase along them.  The loop at
-    ``v``, when it fits, is offered first.
+    ``v``, when it fits, is offered first; then the partner multisets
+    follow in the lexicographic order of their positions in ``partners``.
     """
     deg = state.deg
     n = len(deg)
     deficit = 3 - deg[v]
     isolated = [u for u in range(n) if deg[u] == 0 and u != v][:deficit]
     partners = [u for u in range(n) if u != v and 0 < deg[u] < 3] + isolated
-    bound = {u: prev for prev, u in zip(isolated, isolated[1:])}
-
-    def choose(remaining: int, start: int, counts: dict[int, int], add_loop: bool):
-        if remaining == 0:
-            yield state.with_completion(v, add_loop, counts)
-            return
-        for k in range(start, len(partners)):
-            u = partners[k]
-            already = counts.get(u, 0)
-            if u in bound and already >= counts.get(bound[u], 0):
-                continue
-            counts[u] = already + 1
-            yield from choose(remaining - 1, k, counts, add_loop)
-            if already:
-                counts[u] = already
-            else:
-                del counts[u]
-
-    if deficit >= 2:  # deg[v] <= 1, so v has no loop yet
-        yield from choose(deficit - 2, 0, {}, True)
-    yield from choose(deficit, 0, {}, False)
+    # deg[v] <= 1 when deficit >= 2, so v has no loop yet
+    for add_loop in (True, False) if deficit >= 2 else (False,):
+        for chosen in itertools.combinations_with_replacement(
+            partners, deficit - 2 * add_loop
+        ):
+            counts = Counter(chosen)
+            if all(counts[a] >= counts[b] for a, b in zip(isolated, isolated[1:])):
+                yield state.with_completion(v, add_loop, counts)
 
 
 @functools.lru_cache(maxsize=None)

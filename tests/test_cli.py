@@ -262,6 +262,13 @@ class TestComplex:
             run(capsys, "complex", "cone-p", "--direction", "2,1,1")
         assert err.value.code == 2
 
+    def test_bare_name_is_no_corpus_complex(self, capsys, tmp_path, monkeypatch):
+        # unlike web arguments, a complex argument never names a corpus entry
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "complex", "analyze", "cube")
+        assert (code, out) == (3, "")
+        assert err == "error: cube: [Errno 2] No such file or directory: 'cube'\n"
+
     def test_non_square_zero_complex_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"rank": 1, "differential": [["1"]]}))

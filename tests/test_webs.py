@@ -704,6 +704,19 @@ class TestGeneration:
             for w1, w2 in itertools.combinations(graphs, 2):
                 assert not web_isomorphic(w1, w2)
 
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_outputs_in_certificate_order(self, n):
+        # the docstring's promise: cubic{n}-{idx}, ordered by certificate
+        graphs = generate_connected_cubic(n)
+        certs = [
+            webs._canonical_certificate(make_state(*web_matrix(web)))
+            for web in graphs
+        ]
+        assert all(a < b for a, b in zip(certs, certs[1:]))
+        assert [web.name for web in graphs] == [
+            f"cubic{n}-{idx}" for idx in range(len(graphs))
+        ]
+
     def test_certificate_invariant_under_relabeling(self):
         # relabel generated graphs and random partial states (isolated
         # vertices, loops, several components) at random; the canonical
