@@ -34,10 +34,13 @@ def _read_json(path: Path) -> object:
     An unreadable file or invalid JSON raises :class:`InputError` naming
     the path (and, for invalid JSON, the line and column).  So do arrays
     and objects nested past the recursion limit and integer literals past
-    the interpreter's int-to-string digit limit.
+    the interpreter's int-to-string digit limit.  A missing file reads
+    ``<path>: no such file``, as a missing web argument does.
     """
     try:
         text = path.read_text()
+    except FileNotFoundError as exc:
+        raise InputError(f"{path}: no such file") from exc
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     try:

@@ -4,8 +4,11 @@ A web is stored abstractly (no spatial embedding): vertices are named,
 and each edge is a regular edge between two distinct vertices, a loop at
 a single vertex (counting twice toward its valence), or a free circle
 with no endpoints.  Webs with no vertices at all (disjoint circles) are
-valid.  Each web is compiled to integers once, in its constructor, and
-every public call reads that compiled form.
+valid.  Each web is compiled once, in its constructor, and every public
+call reads that compiled form: the integer incidences (``_incidences``),
+the connected components in breadth-first order (``_components``), the
+loops and circles (``_loops``, ``_circles``), and the valence verdict
+(``_valence_error``).
 
 The module provides
 
@@ -35,7 +38,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, ValidationError, _read_json
 
@@ -87,10 +90,18 @@ class Web:
 
     The constructor checks names and edge ends but not valences, so an
     instance may be non-trivalent until :meth:`validate` is called.  It
-    also compiles the web to integers once: vertex ``i`` is
-    ``vertices[i]``, edge ``j`` is ``edges[j]``, and ``_incidences[i]``
-    lists the ``(edge, other end)`` pairs at vertex ``i`` in edge order,
-    a loop twice.
+    also compiles the web once, into private fields that take no part in
+    equality, hash or repr.  Vertex ``i`` is ``vertices[i]`` and edge
+    ``j`` is ``edges[j]``;
+
+    * ``_incidences[i]`` lists the ``(edge, other end)`` pairs at vertex
+      ``i`` in edge order, a loop twice;
+    * ``_components`` holds each connected component as a vertex tuple,
+      roots in vertex order and neighbours in incidence order;
+    * ``_loops`` and ``_circles`` are the loop and circle edges, in edge
+      order;
+    * ``_valence_error`` names every vertex of valence other than 3, in
+      vertex order, and is empty for a trivalent web.
     """
 
     name: str
@@ -98,6 +109,12 @@ class Web:
     edges: tuple[Edge, ...]
     planar: bool | None = None
     _incidences: _Incidences = field(init=False, repr=False, compare=False)
+    _components: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _loops: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
+    _circles: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
+    _valence_error: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = Counter(e.id for e in self.edges)
@@ -109,6 +126,7 @@ class Web:
             dup = sorted(v for v, n in Counter(self.vertices).items() if n > 1)
             raise ValidationError(f"duplicate vertex names: {', '.join(dup)}")
         inc: list[list[tuple[int, int]]] = [[] for _ in index]
+        loops, circles = [], []
         for j, e in enumerate(self.edges):
             if len(e.ends) > 2:
                 raise ValidationError(f"edge {e.id!r} has more than two ends")
@@ -119,34 +137,43 @@ class Web:
             for v in e.ends:
                 if v not in index:
                     raise ValidationError(f"edge {e.id!r} meets unknown vertex {v!r}")
-            if e.ends:
-                a, b = index[e.ends[0]], index[e.ends[-1]]
-                inc[a].append((j, b))
-                inc[b].append((j, a))
-        object.__setattr__(self, "_incidences", tuple(map(tuple, inc)))
+            if not e.ends:
+                circles.append(e)
+                continue
+            if len(e.ends) == 1:
+                loops.append(e)
+            a, b = index[e.ends[0]], index[e.ends[-1]]
+            inc[a].append((j, b))
+            inc[b].append((j, a))
+        bad = "; ".join(
+            f"vertex {v!r} has valence {len(at)}"
+            for v, at in zip(self.vertices, inc)
+            if len(at) != 3
+        )
+        compiled = tuple(map(tuple, inc))
+        object.__setattr__(self, "_incidences", compiled)
+        object.__setattr__(self, "_components", _parts(compiled))
+        object.__setattr__(self, "_loops", tuple(loops))
+        object.__setattr__(self, "_circles", tuple(circles))
+        object.__setattr__(self, "_valence_error", bad)
 
     def validate(self) -> "Web":
         """Check trivalence at every vertex; report all offenders at once."""
-        bad = [
-            f"vertex {v!r} has valence {len(at)}"
-            for v, at in zip(self.vertices, self._incidences)
-            if len(at) != 3
-        ]
-        if bad:
-            raise ValidationError("; ".join(bad))
+        if self._valence_error:
+            raise ValidationError(self._valence_error)
         return self
 
     @property
     def circles(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.kind == "circle")
+        return self._circles
 
     @property
     def loops(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.kind == "loop")
+        return self._loops
 
 
-def _parts(inc: _Incidences) -> list[list[int]]:
-    """Each connected component as a vertex list, from one breadth-first
+def _parts(inc: _Incidences) -> tuple[tuple[int, ...], ...]:
+    """Each connected component as a vertex tuple, from one breadth-first
     pass: roots in vertex order, neighbours in incidence order."""
     seen = [False] * len(inc)
     parts = []
@@ -159,8 +186,8 @@ def _parts(inc: _Incidences) -> list[list[int]]:
                     if not seen[w]:
                         seen[w] = True
                         part.append(w)
-            parts.append(part)
-    return parts
+            parts.append(tuple(part))
+    return tuple(parts)
 
 
 def one_sets(web: Web) -> list[frozenset[str]]:
@@ -176,12 +203,12 @@ def one_sets(web: Web) -> list[frozenset[str]]:
     A loop leads back to its own vertex, so both the order and the search skip it.
     """
     inc = web.validate()._incidences
-    order = [v for part in _parts(inc) for v in part]
+    order = [v for part in web._components for v in part]
     ids = [e.id for e in web.edges]
     return [frozenset(ids[j] for j in s) for s in _one_sets(inc, order)]
 
 
-def _one_sets(inc: _Incidences, order: list[int]) -> list[tuple[int, ...]]:
+def _one_sets(inc: _Incidences, order: Sequence[int]) -> list[tuple[int, ...]]:
     """The 1-sets over the vertices ``order``, as edge tuples; the search
     matches the first uncovered vertex of ``order`` at every step."""
     matchings: list[tuple[int, ...]] = []
@@ -263,15 +290,15 @@ def count_tait_backtracking(web: Web) -> int:
     Each component is searched alone and the counts multiply.
     """
     inc = web.validate()._incidences
-    if web.loops:
+    if web._loops:
         return 0
-    total = 3 ** len(web.circles)
-    for part in _parts(inc):
+    total = 3 ** len(web._circles)
+    for part in web._components:
         total *= _count_colorings(inc, part)
     return total
 
 
-def _count_colorings(inc: _Incidences, part: list[int]) -> int:
+def _count_colorings(inc: _Incidences, part: Sequence[int]) -> int:
     """Proper 3-edge-colorings of one connected loopless component, by backtracking.
 
     The edge order is fixed before the search: the next edge is the one
@@ -322,9 +349,9 @@ def one_set_census(web: Web) -> tuple[int, int, int]:
     1-set is one more complementary cycle, so it weighs 1 + 2 = 3 in the sum.
     """
     inc = web.validate()._incidences
-    circles = len(web.circles)
+    circles = len(web._circles)
     ones, even, weighted = 2**circles, 2**circles, 3**circles
-    for part in _parts(inc):
+    for part in web._components:
         cycles = [_cycle_lengths(inc, part, set(s)) for s in _one_sets(inc, part)]
         even_cycles = [c for c in cycles if is_even(c)]
         ones *= len(cycles)

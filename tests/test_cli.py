@@ -267,7 +267,7 @@ class TestComplex:
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, "complex", "analyze", "cube")
         assert (code, out) == (3, "")
-        assert err == "error: cube: [Errno 2] No such file or directory: 'cube'\n"
+        assert err == "error: cube: no such file\n"
 
     def test_non_square_zero_complex_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

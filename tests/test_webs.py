@@ -1,5 +1,7 @@
 """Web validation, 1-sets, cycles, Tait counts, JSON I/O, and generation."""
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -84,6 +86,36 @@ class TestValidation:
         assert again == THETA and hash(again) == hash(THETA)
         assert repr(again) == repr(THETA)
         assert "_incidences" not in repr(THETA)
+
+    def test_compiled_fields_leave_value_semantics_alone(self):
+        compiled = {f.name for f in dataclasses.fields(Web) if f.name.startswith("_")}
+        assert compiled == {
+            "_incidences", "_components", "_loops", "_circles", "_valence_error"
+        }
+        for f in dataclasses.fields(Web):
+            if f.name in compiled:
+                assert (f.init, f.repr, f.compare) == (False, False, False)
+        for web in [corpus_web(name) for name in corpus_names()] + [interleaved_web()]:
+            again = Web(web.name, web.vertices, web.edges, web.planar)
+            assert again == web and hash(again) == hash(web)
+            assert repr(again) == repr(web)
+            assert not any(name in repr(web) for name in compiled)
+            assert web.loops == tuple(e for e in web.edges if e.kind == "loop")
+            assert web.circles == tuple(e for e in web.edges if e.kind == "circle")
+
+    def test_non_trivalent_web_constructs_and_fails_validation(self):
+        edges = (
+            Edge("l1", ("p",)), Edge("e", ("q", "r")), Edge("c", ()), Edge("l2", ("p",))
+        )
+        bad = Web("bad", ("p", "q", "r", "s"), edges)
+        assert [e.id for e in bad.loops] == ["l1", "l2"]
+        assert [e.id for e in bad.circles] == ["c"]
+        with pytest.raises(ValidationError) as caught:
+            bad.validate()
+        assert str(caught.value) == (
+            "vertex 'p' has valence 4; vertex 'q' has valence 1; "
+            "vertex 'r' has valence 1; vertex 's' has valence 0"
+        )
 
     def test_compiled_incidences_are_tuples_with_a_loop_twice(self):
         # vertex a: loop l1 (edge 0) twice, then c (edge 1) to b; a tuple
@@ -405,8 +437,7 @@ class TestTaitCounts:
         # vertices of a theta (b), K4 (a) and handcuffs (h) interleaved, edges
         # out of vertex order, circles between them
         web = interleaved_web()
-        parts = webs._parts(web._incidences)
-        assert [[web.vertices[v] for v in part] for part in parts] == [
+        assert [[web.vertices[v] for v in part] for part in web._components] == [
             ["b1", "b2"], ["a1", "a2", "a3", "a4"], ["h1", "h2"]
         ]
         k4 = [{"k1", "k6"}, {"k5", "k4"}, {"k2", "k3"}]
@@ -454,6 +485,40 @@ def interleaved_web() -> Web:
     }
     vertices = ("b1", "a1", "h1", "a2", "b2", "a3", "h2", "a4")
     return Web("interleaved", vertices, tuple(Edge(i, e) for i, e in ends.items()))
+
+
+#: The 1-set census of each corpus web: 1-sets, even 1-sets, Tait count.
+CORPUS_CENSUS = {
+    "cube": (9, 9, 24),
+    "dodecahedron": (36, 30, 60),
+    "handcuffs": (1, 0, 0),
+    "k4": (3, 3, 6),
+    "petersen": (6, 0, 0),
+    "theta": (3, 3, 6),
+    "two_theta": (9, 9, 36),
+    "unknot": (2, 2, 3),
+}
+
+
+def test_counters_read_the_compiled_web(monkeypatch):
+    # components, loops, circles and the valence verdict are compiled in the
+    # constructor, so the counters answer with every way to re-derive them gone
+    built = {name: corpus_web(name) for name in corpus_names()}
+
+    def rederived(*args):
+        raise AssertionError("re-derived after construction")
+
+    monkeypatch.setattr(webs, "_parts", rederived)
+    monkeypatch.setattr(Edge, "kind", property(rederived))
+    assert count_tait_backtracking(built["dodecahedron"]) == 60
+    assert count_tait_matching_formula(built["dodecahedron"]) == 60
+    assert count_tait_backtracking(built["petersen"]) == 0
+    assert count_tait_matching_formula(built["petersen"]) == 0
+    assert {name: one_set_census(web) for name, web in built.items()} == CORPUS_CENSUS
+    for name, web in built.items():
+        ones, _, tait = CORPUS_CENSUS[name]
+        assert count_tait_backtracking(web) == count_tait_matching_formula(web) == tait
+        assert len(one_sets(web)) * 2 ** len(web.circles) == ones
 
 
 def test_nothing_is_cached():
@@ -792,6 +857,16 @@ class TestGeneration:
         ]
         assert outputs[0] == outputs[1]
         assert len(json.loads(outputs[0])) == 71
+
+    def test_output_digests(self):
+        # first 16 hex digits of the sha256 of every graph's JSON, in order
+        digests = {
+            n: hashlib.sha256(
+                json.dumps([web_to_dict(w) for w in generate_connected_cubic(n)]).encode()
+            ).hexdigest()[:16]
+            for n in (8, 10)
+        }
+        assert digests == {8: "f26b26c51c9d7308", 10: "b69e2478333fc5d2"}
 
     def test_includes_simple_cubic_graphs(self):
         # the 6-vertex layer must contain K4 minus... i.e. K_{3,3} and the
