@@ -51,6 +51,7 @@ _EXPORTS = {
         "is_even",
         "count_tait_backtracking",
         "count_tait_matching_formula",
+        "count_tait_colorings",
         "predict_planar_rank",
         "disjoint_union",
         "generate_connected_cubic",

@@ -93,21 +93,15 @@ def check_tait_formula(ctx: CheckContext) -> Outcome:
         except (InputError, ValidationError) as exc:
             problems.append(f"{path.name}: {str(exc).removeprefix(f'{path}: ')}")
             continue
-        bt = webs.count_tait_backtracking(web)
-        mf = webs.count_tait_matching_formula(web)
-        counts[name] = bt
-        _fail(problems, bt == mf, f"{name}: backtracking {bt} != formula {mf}")
+        count = counts[name] = webs.count_tait_colorings(web)
         if name in pinned:
-            _fail(problems, bt == pinned[name], f"{name}: {bt} != {pinned[name]}")
+            _fail(problems, count == pinned[name], f"{name}: {count} != {pinned[name]}")
     _fail(problems, bool(paths), f"{corpus}: no *.json web in the corpus")
     generated = 0
     for n in range(2, max_vertices + 1, 2):
         for web in webs.generate_connected_cubic(n):
-            bt = webs.count_tait_backtracking(web)
-            mf = webs.count_tait_matching_formula(web)
+            webs.count_tait_colorings(web)
             generated += 1
-            if bt != mf:
-                problems.append(f"{web.name}: backtracking {bt} != formula {mf}")
     return problems, (
         f"corpus of {len(counts)} webs agrees "
         f"(dodecahedron={counts.get('dodecahedron')}, petersen={counts.get('petersen')}); "
@@ -209,8 +203,6 @@ def check_unknot_model(ctx: CheckContext) -> Outcome:
     u = module.operators["e"]
     pinned = ((ZERO, ZERO, ZERO), (ONE, ZERO, P), (ZERO, ONE, ZERO))
     _fail(problems, u == pinned, "operator matrix differs from the pinned model")
-    for name, ok in module.relations:
-        _fail(problems, ok, f"relation failed: {name}")
     rank_u = linalg.fraction_rank(u)
     _fail(problems, rank_u == 2, f"image rank {rank_u} != 2")
     kernel = linalg.nullspace_frac(u)
@@ -242,14 +234,14 @@ def check_unknot_model(ctx: CheckContext) -> Outcome:
 def check_theta_model(ctx: CheckContext) -> Outcome:
     """The rank-6 theta model: relations, summand ranks and projections.
 
-    The relation outcomes are those of the one
-    :func:`~webfoam.operators.check_vertex_relations` run that the
-    module's constructor makes; they are read, not computed again.
+    The module's constructor checks the relations, through one
+    :func:`~webfoam.operators.check_vertex_relations` run, and raises on
+    any that fails; :func:`~webfoam.operators.edge_decomposition` raises
+    when the summand ranks miss the module rank.  Either raise makes an
+    internal-error row.
     """
     problems: list[str] = []
     module = operators.theta_module()
-    for name, ok in module.relations:
-        _fail(problems, ok, f"relation failed: {name}")
     decomposition = operators.edge_decomposition(module)
     for edge in module.edge_ids:
         r = decomposition.rank([edge])
@@ -257,8 +249,6 @@ def check_theta_model(ctx: CheckContext) -> Outcome:
     for subset, r in decomposition.subset_ranks.items():
         if len(subset) != 1:
             _fail(problems, r == 0, f"summand for {sorted(subset)} has rank {r} != 0")
-    total = sum(decomposition.subset_ranks.values())
-    _fail(problems, total == 6, f"summand ranks total {total} != 6")
     for name, ok in decomposition.projection_checks:
         _fail(problems, ok, f"projection identity failed: {name}")
     return problems, (
@@ -348,13 +338,8 @@ def check_property_suite(ctx: CheckContext) -> Outcome:
             problems.append(f"module {k}: f2_dim {f2} < frac_rank {fr}")
             break
         for direction in homology.DIRECTIONS:
-            rep = module.bockstein(direction, seed=ctx.seed)
-            if rep.f2_dim != rep.r + 2 * rep.l:
-                problems.append(
-                    f"module {k} {direction}: {rep.f2_dim} != {rep.r} + 2*{rep.l}"
-                )
-                break
-            if rep.degenerate_direction:
+            # bockstein raises when f2_dim != r + 2l or the ranks disagree
+            if module.bockstein(direction, seed=ctx.seed).degenerate_direction:
                 degenerate += 1
     return problems, (
         f"{count} seeded square-zero modules (rank <= 12): f2_dim >= frac_rank, "

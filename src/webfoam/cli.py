@@ -17,9 +17,11 @@ deterministic byte-for-byte for fixed inputs and flags (the opt-in
 switches every subcommand to a machine-readable report.  Each handler
 computes through the library and returns its exit code, its report and
 its text lines; :func:`main` alone writes stdout, the report as JSON
-under ``--json`` and the lines otherwise.  Two handlers write stderr
-lines themselves: ``web predict-rank`` its planarity warnings, and
-``verify-all`` one line per check that failed internally.
+under ``--json`` and the lines otherwise.  Three handlers write stderr
+lines themselves: ``web predict-rank`` the caveat of a web without
+planar backing, ``complex analyze|cone-p|handcuffs-linked`` one line per
+direction that failed internally, and ``verify-all`` one line per check
+that failed internally.
 
 Exit codes: 0 success, 1 failed checks, 2 usage error, 3 malformed
 input (and running out of memory), 4 invalid web or complex, 5 internal
@@ -31,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from .errors import InputError, InternalConsistencyError, ValidationError
@@ -243,24 +244,16 @@ def _cmd_web(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
             }
             return EXIT_OK, report, [f"{key}: {report[key]}" for key in sorted(report)]
         if args.web_command == "tait":
-            bt = webs.count_tait_backtracking(web)
-            mf = webs.count_tait_matching_formula(web)
-            if bt != mf:
-                raise InternalConsistencyError(
-                    f"web {web.name!r}: backtracking count {bt} "
-                    f"!= matching-formula count {mf}"
-                )
-            return EXIT_OK, {"web": web.name, "tait_colorings": bt}, [str(bt)]
+            count = webs.count_tait_colorings(web)
+            return EXIT_OK, {"web": web.name, "tait_colorings": count}, [str(count)]
         # predict-rank
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            predicted = webs.predict_planar_rank(web)
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
+        predicted, caveat = webs.predict_planar_rank(web)
+        if caveat is not None:
+            print(f"warning: {caveat}", file=sys.stderr)
         report = {
             "web": web.name,
             "predicted_rank": predicted,
-            "planar_backed": not caught,
+            "planar_backed": caveat is None,
         }
         return EXIT_OK, report, [str(predicted)]
     except RecursionError as exc:
@@ -294,7 +287,6 @@ def _cmd_ops(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         checks = module.relations
         report["checks"] = dict(checks)
         lines.extend(_status_line(ok, name) for name, ok in checks)
-        failed |= not all(ok for _, ok in checks)
 
     if args.decompose:
         decomposition = operators.edge_decomposition(module)
@@ -340,15 +332,12 @@ def _cmd_complex(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     else:
         module = homology.linked_handcuffs_model()
         label = "handcuffs-linked"
-    # a repeated direction is analysed once, in first-given order
-    directions = dict.fromkeys(args.direction or homology.DIRECTIONS)
-    reports = [module.bockstein(d, seed=args.seed) for d in directions]
     report = {
         "complex": label,
         "rank": module.rank,
         "frac_rank": module.frac_rank(seed=args.seed),
         "f2_dim": module.f2_dim(),
-        "directions": [r.to_dict() for r in reports],
+        "directions": [],
     }
     lines = [
         f"complex: {label}",
@@ -361,13 +350,24 @@ def _cmd_complex(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         report["map_kernel_rank"] = ker
         report["map_cokernel_rank"] = coker
         lines.append(f"two-term map: kernel rank {ker}, cokernel rank {coker}")
-    for r in reports:
+    code = EXIT_OK
+    # a repeated direction is analysed once, in first-given order; a
+    # direction that fails internally fails its own line only
+    for d in dict.fromkeys(args.direction or homology.DIRECTIONS):
+        name = ",".join(str(c) for c in d)
+        try:
+            r = module.bockstein(d, seed=args.seed)
+        except InternalConsistencyError as exc:
+            report["directions"].append({"direction": name, "error": str(exc)})
+            failure = f"direction {name}: {exc}"
+            lines.append(_status_line(False, failure))
+            print(f"internal consistency failure: {failure}", file=sys.stderr)
+            code = EXIT_INTERNAL
+            continue
+        report["directions"].append(r.to_dict())
         torsion = "{" + ",".join(str(a) for a in r.torsion_exponents) + "}"
-        lines.append(
-            f"direction {','.join(str(c) for c in r.direction)}: "
-            f"r={r.r} l={r.l} torsion={torsion}"
-        )
-    return EXIT_OK, report, lines
+        lines.append(f"direction {name}: r={r.r} l={r.l} torsion={torsion}")
+    return code, report, lines
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> tuple[int, dict, list[str]]:

@@ -22,9 +22,11 @@ The module provides
   colorings in an edge order fixed before the search, and the
   matching-formula count from the census.  Both count each connected
   component alone and multiply, with a factor 3 per circle;
+  :func:`count_tait_colorings` runs both and raises on a disagreement;
 * the planar rank prediction (the matching-formula count, which is a
-  theorem only for planar webs -- non-planar inputs get a warning), with
-  a planarity test of the underlying graph by path addition per block;
+  theorem only for planar webs -- a web without planar backing gets a
+  caveat text beside the count), with a planarity test of the
+  underlying graph by path addition per block;
 * a JSON file format and the shipped corpus of named webs;
 * exhaustive generation of connected cubic multigraphs up to
   isomorphism, used by the test and verification suites.
@@ -34,13 +36,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError, ValidationError, _read_json
+from .errors import InputError, InternalConsistencyError, ValidationError, _read_json
 
 __all__ = [
     "Edge",
@@ -51,6 +52,7 @@ __all__ = [
     "is_even",
     "count_tait_backtracking",
     "count_tait_matching_formula",
+    "count_tait_colorings",
     "predict_planar_rank",
     "is_abstract_planar",
     "disjoint_union",
@@ -61,12 +63,7 @@ __all__ = [
     "corpus_web",
     "corpus_dir",
     "generate_connected_cubic",
-    "NonPlanarPredictionWarning",
 ]
-
-
-class NonPlanarPredictionWarning(UserWarning):
-    """The rank prediction was requested for a web without planar backing."""
 
 
 @dataclass(frozen=True)
@@ -365,6 +362,18 @@ def count_tait_matching_formula(web: Web) -> int:
     return one_set_census(web)[2]
 
 
+def count_tait_colorings(web: Web) -> int:
+    """The Tait-coloring count, by both counters; a disagreement is internal."""
+    bt = count_tait_backtracking(web)
+    mf = count_tait_matching_formula(web)
+    if bt != mf:
+        raise InternalConsistencyError(
+            f"web {web.name!r}: backtracking count {bt} "
+            f"!= matching-formula count {mf}"
+        )
+    return bt
+
+
 def is_abstract_planar(web: Web) -> bool:
     """Planarity of the underlying abstract graph.
 
@@ -519,31 +528,28 @@ def _path_through(
     return path
 
 
-def predict_planar_rank(web: Web) -> int:
-    """The matching-formula count, interpreted as a free-rank prediction.
+def predict_planar_rank(web: Web) -> tuple[int, str | None]:
+    """The matching-formula count, read as a free-rank prediction, and its caveat.
 
     The interpretation is backed by a theorem only when the web has a
     planar embedding.  The caller's ``planar`` declaration is trusted for
-    the embedding but cross-checked against abstract planarity; a web
-    without planar backing still gets the count, with a warning.
+    the embedding but cross-checked against abstract planarity.  The
+    caveat is None for a web with planar backing; otherwise it is a text
+    saying why the count is only heuristic.
     """
     count = count_tait_matching_formula(web)
     abstract = is_abstract_planar(web)
     if web.planar and not abstract:
-        warnings.warn(
+        return count, (
             f"web {web.name!r} is declared planar but the abstract graph is "
-            "not planar; the declaration cannot be honored",
-            NonPlanarPredictionWarning,
-            stacklevel=2,
+            "not planar; the declaration cannot be honored"
         )
-    elif not web.planar or not abstract:
-        warnings.warn(
+    if not web.planar or not abstract:
+        return count, (
             f"web {web.name!r} has no planar backing; "
-            "the predicted rank is heuristic only",
-            NonPlanarPredictionWarning,
-            stacklevel=2,
+            "the predicted rank is heuristic only"
         )
-    return count
+    return count, None
 
 
 def disjoint_union(a: Web, b: Web) -> Web:

@@ -145,8 +145,50 @@ def test_generated_graph_disagreement_is_named(monkeypatch):
         "count_tait_matching_formula",
         lambda web: count(web) + (web.name == "cubic4-1"),
     )
-    failures, _ = acceptance.check_tait_formula(acceptance.CheckContext())
-    assert failures == ["cubic4-1: backtracking 12 != formula 13"]
+    with pytest.raises(InternalConsistencyError) as info:
+        acceptance.check_tait_formula(acceptance.CheckContext())
+    assert str(info.value) == (
+        "web 'cubic4-1': backtracking count 12 != matching-formula count 13"
+    )
+
+
+def internal_error_row(key):
+    """The one result of ``run_all([key])``, asserted to be an internal error."""
+    (result,) = acceptance.run_all([key])
+    assert (result.passed, result.internal_error) == (False, True)
+    return result.detail
+
+
+def test_summands_missing_the_rank_fail_the_theta_row(monkeypatch):
+    # edge_decomposition raises on the total, so the check need not re-read it
+    operators.theta_module()  # built first: only the decomposition sees the patch
+    monkeypatch.setattr(linalg, "rank_frac_exact", lambda rows: 0)
+    detail = internal_error_row("theta-model")
+    assert detail == (
+        "internal consistency failure: summand ranks total 48, expected 6"
+    )
+
+
+def test_false_relation_fails_the_theta_row(monkeypatch):
+    # the constructor raises on a false relation, so the check need not re-read it
+    real = operators.check_vertex_relations
+
+    def one_false(module):
+        (label, _), *rest = real(module)
+        return ((label, False), *rest)
+
+    monkeypatch.setattr(operators, "check_vertex_relations", one_false)
+    operators.theta_module.cache_clear()
+    detail = internal_error_row("theta-model")
+    assert detail.startswith("internal consistency failure: operators violate ")
+
+
+def test_broken_smith_form_fails_the_suite_row(monkeypatch):
+    # bockstein raises when f2_dim != r + 2l, so the suite need not re-read it
+    real = linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form", lambda m: [*real(m), 0])
+    detail = internal_error_row("inequality-uct-suite")
+    assert "universal-coefficient identity violated" in detail
 
 
 def theta_wrong_on(monkeypatch, bad):

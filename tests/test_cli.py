@@ -13,6 +13,7 @@ import pytest
 import webfoam
 from webfoam import homology, webs
 from webfoam.cli import main
+from webfoam.errors import InternalConsistencyError
 from webfoam.homology import cone_of_p, complex_to_dict
 from webfoam.laurent import LaurentPoly
 from webfoam.linalg import rank_frac_randomized
@@ -256,6 +257,35 @@ class TestComplex:
                 ]
                 assert outputs[0] == outputs[1]
                 assert outputs[0][0] == 0
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_failing_direction_hides_no_other(self, capsys, monkeypatch, as_json):
+        real = homology.DifferentialModule.bockstein
+
+        def fail_on_110(module, direction, seed=0):
+            if direction == (1, 1, 0):
+                raise InternalConsistencyError("torsion routes disagree")
+            return real(module, direction, seed)
+
+        flags = ("--json",) if as_json else ()
+        _, good, _ = run(capsys, "complex", "cone-p", *flags)
+        monkeypatch.setattr(homology.DifferentialModule, "bockstein", fail_on_110)
+        code, out, err = run(capsys, "complex", "cone-p", *flags)
+        assert code == 5
+        assert err == (
+            "internal consistency failure: direction 1,1,0: torsion routes disagree\n"
+        )
+        if as_json:
+            expected = json.loads(good)
+            expected["directions"][1] = {
+                "direction": "1,1,0",
+                "error": "torsion routes disagree",
+            }
+            assert json.loads(out) == expected
+        else:
+            lines = good.splitlines()
+            lines[-1] = "FAIL  direction 1,1,0: torsion routes disagree"
+            assert out.splitlines() == lines
 
     def test_direction_validation(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -627,6 +657,24 @@ class TestVerifyAll:
         assert rows[2].startswith("PASS  unknot-model        ")
         assert rows[3:] == ["FAILURES"]
         assert err == f"cone-p: {detail}\n"
+
+    def test_counter_disagreement_fails_only_its_check(self, capsys, monkeypatch):
+        count = webs.count_tait_matching_formula
+        monkeypatch.setattr(
+            webs,
+            "count_tait_matching_formula",
+            lambda web: count(web) + (web.name == "cubic4-1"),
+        )
+        code, out, err = run(capsys, "verify-all", "--only", "cone-p,tait-formula")
+        assert code == 5
+        detail = (
+            "internal consistency failure: web 'cubic4-1': "
+            "backtracking count 12 != matching-formula count 13"
+        )
+        rows = out.splitlines()
+        assert rows[0].startswith("PASS  cone-p        cone of P*I")
+        assert rows[1:] == [f"FAIL  tait-formula  {detail}", "FAILURES"]
+        assert err == f"tait-formula: {detail}\n"
 
     def test_bad_corpus_dir(self, capsys):
         code, _, err = run(

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from webfoam import foams
 from webfoam.foams import (
     THETA_BASIS_DOTS,
     eval_sphere,
@@ -11,7 +12,8 @@ from webfoam.foams import (
     pairing_matrix,
 )
 from webfoam.laurent import ONE, P, ZERO
-from webfoam.linalg import det_poly
+from webfoam.linalg import det_poly, fraction_rank
+from webfoam.webs import corpus_web, count_tait_colorings
 
 
 def closed_form(m1, m2, m3):
@@ -142,3 +144,25 @@ class TestPairing:
             assert gram[n - 1 - i][i] == ONE
             for j in range(i):
                 assert gram[n - 1 - i][j] == ZERO
+
+
+class TestPairingAnswersToTheWebs:
+    """The planar theorem, pairing side: the rank of a closed web's foam
+    pairing is the Tait count of the web."""
+
+    def test_theta_pairing_rank_is_the_theta_tait_count(self):
+        tait = count_tait_colorings(corpus_web("theta"))
+        assert fraction_rank(pairing_matrix()) == tait == 6
+
+    def test_sphere_pairing_rank_is_the_unknot_tait_count(self):
+        gram = [[eval_sphere(i + j) for j in range(3)] for i in range(3)]
+        assert fraction_rank(gram) == count_tait_colorings(corpus_web("unknot")) == 3
+
+    def test_one_wrong_theta_value_breaks_the_agreement(self, monkeypatch):
+        monkeypatch.setattr(
+            foams,
+            "eval_theta",
+            lambda *dots: ZERO if sorted(dots) == [0, 1, 2] else eval_theta(*dots),
+        )
+        tait = count_tait_colorings(corpus_web("theta"))
+        assert fraction_rank(pairing_matrix()) == 2 != tait

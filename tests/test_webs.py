@@ -19,7 +19,6 @@ from webfoam.errors import InputError, ValidationError
 from webfoam import webs
 from webfoam.webs import (
     Edge,
-    NonPlanarPredictionWarning,
     Web,
     complement_cycles,
     corpus_names,
@@ -532,8 +531,7 @@ def test_nothing_is_cached():
     count_tait_backtracking(web)
     count_tait_matching_formula(web)
     is_abstract_planar(web)
-    with pytest.warns(NonPlanarPredictionWarning):
-        predict_planar_rank(web)
+    assert predict_planar_rank(web)[1] is not None
     web_from_dict(web_to_dict(web))
     disjoint_union(web, web)
     assert (dict(vars(web)), [dict(vars(e)) for e in web.edges]) == before
@@ -550,31 +548,35 @@ def test_nothing_is_cached():
 
 class TestPlanarPrediction:
     def test_planar_webs_quiet(self):
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            assert predict_planar_rank(corpus_web("theta")) == 6
-            assert predict_planar_rank(corpus_web("handcuffs")) == 0
-            assert predict_planar_rank(corpus_web("dodecahedron")) == 60
+        assert predict_planar_rank(corpus_web("theta")) == (6, None)
+        assert predict_planar_rank(corpus_web("handcuffs")) == (0, None)
+        assert predict_planar_rank(corpus_web("dodecahedron")) == (60, None)
 
     def test_nonplanar_warns(self):
-        with pytest.warns(NonPlanarPredictionWarning, match="no planar backing"):
-            assert predict_planar_rank(corpus_web("petersen")) == 0
+        # the caveat is a return value, so every call carries it
+        for _ in range(2):
+            assert predict_planar_rank(corpus_web("petersen")) == (
+                0,
+                "web 'petersen' has no planar backing; "
+                "the predicted rank is heuristic only",
+            )
 
     def test_false_declaration_warns(self):
         data = web_to_dict(corpus_web("petersen"))
         data["planar"] = True
         liar = web_from_dict(data)
-        with pytest.warns(NonPlanarPredictionWarning, match="cannot be honored"):
-            predict_planar_rank(liar)
+        assert predict_planar_rank(liar)[1] == (
+            "web 'petersen' is declared planar but the abstract graph is "
+            "not planar; the declaration cannot be honored"
+        )
 
     def test_undeclared_planarity_warns(self):
         data = web_to_dict(corpus_web("theta"))
         del data["planar"]
         modest = web_from_dict(data)
-        with pytest.warns(NonPlanarPredictionWarning):
-            assert predict_planar_rank(modest) == 6
+        count, caveat = predict_planar_rank(modest)
+        assert count == 6
+        assert "no planar backing" in caveat
 
     def test_abstract_planarity(self):
         assert is_abstract_planar(corpus_web("k4"))
