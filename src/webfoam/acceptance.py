@@ -10,7 +10,7 @@ result carrying the exception text, and the remaining checks still run;
 so does any other exception a check raises, named by its type, except
 ``MemoryError``, which ends the run.  An ``InputError`` or
 ``ValidationError`` fails its check the same way, as an ordinary
-failure.  The Tait check records each bad corpus file as
+failure.  The Tait check records each bad or too large corpus web as
 ``<file name>: <message>`` and goes on with the other webs.
 
 The same checks back the acceptance test module, so the CLI table and
@@ -90,10 +90,13 @@ def check_tait_formula(ctx: CheckContext) -> Outcome:
         name = path.stem
         try:
             web = webs.load_web(path).validate()
+            count = counts[name] = webs.count_tait_colorings(web)
         except (InputError, ValidationError) as exc:
             problems.append(f"{path.name}: {str(exc).removeprefix(f'{path}: ')}")
             continue
-        count = counts[name] = webs.count_tait_colorings(web)
+        except RecursionError:  # the counters recurse once per edge
+            problems.append(f"{path.name}: too large for the exact counters")
+            continue
         if name in pinned:
             _fail(problems, count == pinned[name], f"{name}: {count} != {pinned[name]}")
     _fail(problems, bool(paths), f"{corpus}: no *.json web in the corpus")
@@ -237,8 +240,8 @@ def check_theta_model(ctx: CheckContext) -> Outcome:
     The module's constructor checks the relations, through one
     :func:`~webfoam.operators.check_vertex_relations` run, and raises on
     any that fails; :func:`~webfoam.operators.edge_decomposition` raises
-    when the summand ranks miss the module rank.  Either raise makes an
-    internal-error row.
+    when the summand ranks miss the module rank or a projection identity
+    fails, which the relations rule out; each raise makes an internal-error row.
     """
     problems: list[str] = []
     module = operators.theta_module()
@@ -249,8 +252,6 @@ def check_theta_model(ctx: CheckContext) -> Outcome:
     for subset, r in decomposition.subset_ranks.items():
         if len(subset) != 1:
             _fail(problems, r == 0, f"summand for {sorted(subset)} has rank {r} != 0")
-    for name, ok in decomposition.projection_checks:
-        _fail(problems, ok, f"projection identity failed: {name}")
     return problems, (
         "derived 6x6 operators satisfy the vertex and cubic relations; "
         "edge decomposition is 2+2+2 on singletons and 0 elsewhere; "

@@ -214,7 +214,11 @@ def edge_decomposition(
 
     At each vertex the module lists (or at ``vertex_edges`` alone, when
     given), the associated projections pi_i = (1/P) * u_j * u_k are also
-    verified to be idempotent, orthogonal, and to sum to the identity.
+    verified to be idempotent, orthogonal, and to sum to the identity; a
+    failed one is an internal error too, which no vertex of a constructed
+    module reaches: its constructor makes the operators commute, and with
+    Q_i = u_j*u_k the vertex relations give sum Q_i = P and
+    Q_i*Q_j = u1*u2*u3*u_k = 0, so Q_i^2 = Q_i*(P - Q_j - Q_k) = P*Q_i.
     """
     edge_ids = module.edge_ids
     subset_ranks: dict[frozenset, int] = {}
@@ -234,6 +238,9 @@ def edge_decomposition(
     projection_checks = tuple(
         check for vertex in vertices for check in _check_projections(module, vertex)
     )
+    for label, ok in projection_checks:
+        if not ok:
+            raise InternalConsistencyError(f"projection identity failed: {label}")
     return EdgeDecomposition(subset_ranks, projection_checks)
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, determinism, and exit codes."""
 
+import ast
 import json
 import os
 import random
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import webfoam
-from webfoam import homology, webs
+from webfoam import cli, homology, operators, webs
 from webfoam.cli import main
 from webfoam.errors import InternalConsistencyError
 from webfoam.homology import cone_of_p, complex_to_dict
@@ -39,6 +40,39 @@ def run_process(*argv, limit_s=10, preexec_fn=None):
         [sys.executable, "-m", "webfoam.cli", *argv],
         capture_output=True, text=True, env=env, timeout=limit_s,
         preexec_fn=preexec_fn,
+    )
+
+
+def fail_first_projection(monkeypatch):
+    """Make the first projection identity read false at every vertex."""
+    real = operators._check_projections
+
+    def corrupted(module, vertex_edges):
+        (label, _), *rest = real(module, vertex_edges)
+        return ((label, False), *rest)
+
+    monkeypatch.setattr(operators, "_check_projections", corrupted)
+
+
+def fail_direction_110(monkeypatch):
+    """Make ``bockstein`` raise along (1,1,0) only."""
+    real = homology.DifferentialModule.bockstein
+
+    def fail_on_110(module, direction, seed=0):
+        if direction == (1, 1, 0):
+            raise InternalConsistencyError("torsion routes disagree")
+        return real(module, direction, seed)
+
+    monkeypatch.setattr(homology.DifferentialModule, "bockstein", fail_on_110)
+
+
+def miscount_cubic4_1(monkeypatch):
+    """Make the matching-formula count of ``cubic4-1`` one too large."""
+    count = webs.count_tait_matching_formula
+    monkeypatch.setattr(
+        webs,
+        "count_tait_matching_formula",
+        lambda web: count(web) + (web.name == "cubic4-1"),
     )
 
 
@@ -166,6 +200,15 @@ class TestOps:
         assert data["summand_ranks"]["{}"] == 0
         assert all(data["projections"].values())
 
+    def test_failed_projection_identity_is_internal(self, capsys, monkeypatch):
+        # edge_decomposition raises on the identity itself, so nothing prints
+        fail_first_projection(monkeypatch)
+        code, out, err = run(capsys, "ops", "theta", "--decompose")
+        assert (code, out) == (5, "")
+        assert err == (
+            "internal consistency failure: projection identity failed: pi1^2 = pi1\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, golden",
         [
@@ -260,16 +303,9 @@ class TestComplex:
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_failing_direction_hides_no_other(self, capsys, monkeypatch, as_json):
-        real = homology.DifferentialModule.bockstein
-
-        def fail_on_110(module, direction, seed=0):
-            if direction == (1, 1, 0):
-                raise InternalConsistencyError("torsion routes disagree")
-            return real(module, direction, seed)
-
         flags = ("--json",) if as_json else ()
         _, good, _ = run(capsys, "complex", "cone-p", *flags)
-        monkeypatch.setattr(homology.DifferentialModule, "bockstein", fail_on_110)
+        fail_direction_110(monkeypatch)
         code, out, err = run(capsys, "complex", "cone-p", *flags)
         assert code == 5
         assert err == (
@@ -659,12 +695,7 @@ class TestVerifyAll:
         assert err == f"cone-p: {detail}\n"
 
     def test_counter_disagreement_fails_only_its_check(self, capsys, monkeypatch):
-        count = webs.count_tait_matching_formula
-        monkeypatch.setattr(
-            webs,
-            "count_tait_matching_formula",
-            lambda web: count(web) + (web.name == "cubic4-1"),
-        )
+        miscount_cubic4_1(monkeypatch)
         code, out, err = run(capsys, "verify-all", "--only", "cone-p,tait-formula")
         assert code == 5
         detail = (
@@ -675,6 +706,39 @@ class TestVerifyAll:
         assert rows[0].startswith("PASS  cone-p        cone of P*I")
         assert rows[1:] == [f"FAIL  tait-formula  {detail}", "FAILURES"]
         assert err == f"tait-formula: {detail}\n"
+
+    def test_failed_projection_identity_is_internal(self, capsys, monkeypatch):
+        fail_first_projection(monkeypatch)
+        code, out, err = run(capsys, "verify-all", "--only", "theta-model")
+        assert code == 5
+        detail = "internal consistency failure: projection identity failed: pi1^2 = pi1"
+        assert out.splitlines() == [f"FAIL  theta-model  {detail}", "FAILURES"]
+        assert err == f"theta-model: {detail}\n"
+
+    def test_deep_corpus_web_fails_only_its_check(self, capsys, tmp_path):
+        # the prism C_400 x K2 is too deep for the counters, as in web tait;
+        # it sorts first, and the webs after it are still counted
+        TestAdversarialInputs.prism_file(tmp_path).rename(tmp_path / "deep.json")
+        for name in ("dodecahedron", "petersen"):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(web_to_dict(corpus_web(name))))
+        only = "cone-p,tait-formula"
+        argv = ("verify-all", "--only", only, "--corpus", str(tmp_path))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        rows = out.splitlines()
+        assert rows[0].startswith("PASS  cone-p        cone of P*I")
+        assert rows[1:] == [
+            "FAIL  tait-formula  deep.json: too large for the exact counters",
+            "FAILURES",
+        ]
+        (tmp_path / "dodecahedron.json").write_text(
+            json.dumps(web_to_dict(corpus_web("cube")))
+        )
+        _, out, _ = run(capsys, *argv, "--json")
+        assert json.loads(out)["checks"][1]["detail"] == (
+            "deep.json: too large for the exact counters; dodecahedron: 24 != 60"
+        )
 
     def test_bad_corpus_dir(self, capsys):
         code, _, err = run(
@@ -747,6 +811,68 @@ def test_output_is_pinned(capsys, command):
     # stdout, stderr and exit code of each command, byte for byte
     code, out, err = run(capsys, *command.split())
     assert {"exit": code, "stdout": out, "stderr": err} == CLI_OUTPUTS[command]
+
+
+class TestHandlersOnlyCompute:
+    """Handlers return their stderr notes; only ``main`` writes."""
+
+    @staticmethod
+    def handle(capsys, handler, *argv):
+        args = cli.build_parser().parse_args(list(argv))
+        digit_limit = sys.get_int_max_str_digits()
+        try:
+            result = handler(args)
+        finally:
+            sys.set_int_max_str_digits(digit_limit)
+        assert capsys.readouterr() == ("", "")
+        return result
+
+    def test_web_caveat_is_a_note(self, capsys):
+        code, report, lines, notes = self.handle(
+            capsys, cli._cmd_web, "web", "predict-rank", "petersen"
+        )
+        assert (code, lines, report["planar_backed"]) == (0, ["0"], False)
+        assert notes == [
+            "warning: web 'petersen' has no planar backing; "
+            "the predicted rank is heuristic only"
+        ]
+
+    def test_failing_direction_is_a_note(self, capsys, monkeypatch):
+        fail_direction_110(monkeypatch)
+        code, _, lines, notes = self.handle(capsys, cli._cmd_complex, "complex", "cone-p")
+        assert code == 5
+        assert lines[-1] == "FAIL  direction 1,1,0: torsion routes disagree"
+        assert notes == [
+            "internal consistency failure: direction 1,1,0: torsion routes disagree"
+        ]
+
+    def test_internal_check_failure_is_a_note(self, capsys, monkeypatch):
+        miscount_cubic4_1(monkeypatch)
+        code, _, _, notes = self.handle(
+            capsys, cli._cmd_verify_all, "verify-all", "--only", "cone-p,tait-formula"
+        )
+        assert code == 5
+        assert notes == [
+            "tait-formula: internal consistency failure: web 'cubic4-1': "
+            "backtracking count 12 != matching-formula count 13"
+        ]
+
+    def test_only_main_writes(self):
+        # every call that writes to stdout or stderr, by enclosing function
+        writers = {"print", "sys.stdout.write", "sys.stderr.write"}
+        callers = []
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, child.name)
+                    continue
+                if isinstance(child, ast.Call) and ast.unparse(child.func) in writers:
+                    callers.append(owner)
+                visit(child, owner)
+
+        visit(ast.parse(Path(cli.__file__).read_text()), "<module>")
+        assert callers and set(callers) == {"main"}
 
 
 class TestDeterminism:
